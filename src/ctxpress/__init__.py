@@ -54,8 +54,8 @@ from ctxpress.pipeline import (
     CompressResult,
     CostReport,
     InsufficientPoints,
-    JobConfig,
     PipelineError,
+    TokenIdOutOfRange,
     bench_scaling,
     count_cache_cells,
     count_dot_products,

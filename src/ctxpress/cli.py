@@ -18,7 +18,7 @@ from ctxpress.needles import (
     generate_needle_instance,
     select_retrieval_layer,
 )
-from ctxpress.pipeline import JobConfig, bench_scaling, run_compress
+from ctxpress.pipeline import bench_scaling, run_compress
 from ctxpress.prefill import StreamConfig
 
 EXIT_CONFIG = 2
@@ -75,13 +75,12 @@ def cmd_compress(args: argparse.Namespace) -> int:
         context = encode(fh.read(), vocab)
     with open(args.query, encoding="utf-8") as fh:
         query = encode(fh.read(), vocab)
-    job = JobConfig(model=weights.spec, weights_path=args.weights,
-                    stream=stream, pooling=pooling,
-                    context_path=args.context, query_path=args.query,
-                    out_path=args.out)
+    meta = {"stream": stream.to_json(), "pooling": pooling.to_json(),
+            "model_seed": weights.spec.seed}
+    if args.weights is not None:
+        meta["weights"] = args.weights
     result = run_compress(weights, stream, pooling, context, query)
-    payload = result.to_json(job.to_json())
-    _write_json(args.out, payload)
+    _write_json(args.out, result.to_json(meta))
     print(f"kept {len(result.allocation.indices)}/{len(context)} context tokens "
           f"({'bypassed' if result.bypassed else 'compressed'}) -> {args.out}")
     return 0

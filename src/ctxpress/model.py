@@ -18,7 +18,6 @@ import numpy as np
 from ctxpress.codec import fnv1a64
 
 WEIGHT_MAGIC = b"ILRW"
-KEY_DUMP_MAGIC = b"ILRK"
 WEIGHT_VERSION = 1
 
 
@@ -227,13 +226,15 @@ def layer_forward(
 
     ``layer`` is 1-based.  ``x`` is (T, d); cached keys/values are
     (H, C, d_h) and are attended before the new tokens.  Returns the block
-    output plus the new rotary-encoded keys and raw values for caching.
+    output plus the attended rotary-encoded keys and raw values: the C cached
+    rows followed by the T new rows, in fresh arrays.
     """
     spec = weights.spec
     t = x.shape[0]
     if t == 0:
         empty = np.zeros((spec.heads, 0, spec.head_dim))
-        return x.copy(), empty, empty.copy()
+        k, v = (empty, empty) if cache_k is None else (cache_k, cache_v)
+        return x.copy(), k.copy(), v.copy()
     lw = weights.layers[layer - 1]
     normed = rms_norm(x, lw.attn_gain)
     q = _split_heads(normed @ lw.wq.astype(np.float64), spec.heads)
@@ -250,7 +251,7 @@ def layer_forward(
     h = x + _merge_heads(attn) @ lw.wo.astype(np.float64)
     f = rms_norm(h, lw.ffn_gain)
     y = h + gelu(f @ lw.w_in.astype(np.float64)) @ lw.w_out.astype(np.float64)
-    return y, k, v
+    return y, k_all, v_all
 
 
 # ---------------------------------------------------------------------------
@@ -305,25 +306,3 @@ def load_weights(path: str) -> Weights:
                 attn_gain=read_block((d,)), ffn_gain=read_block((d,)),
             ))
     return Weights(spec=spec, embedding=emb, layers=layer_ws)
-
-
-def save_key_cache(full_k: np.ndarray, path: str) -> None:
-    """Debug dump of a full-length key cache (H, L, d_h) as f32."""
-    h, length, d_h = full_k.shape
-    with open(path, "wb") as fh:
-        fh.write(KEY_DUMP_MAGIC)
-        fh.write(struct.pack("<H", WEIGHT_VERSION))
-        fh.write(struct.pack("<IQI", h, length, d_h))
-        fh.write(np.ascontiguousarray(full_k, dtype="<f4").tobytes())
-
-
-def load_key_cache(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        if fh.read(4) != KEY_DUMP_MAGIC:
-            raise ValueError(f"{path}: bad magic, not a key dump")
-        (version,) = struct.unpack("<H", fh.read(2))
-        if version != WEIGHT_VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
-        h, length, d_h = struct.unpack("<IQI", fh.read(16))
-        data = np.frombuffer(fh.read(4 * h * length * d_h), dtype="<f4")
-    return data.reshape(h, length, d_h).copy()

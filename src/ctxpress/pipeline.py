@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import statistics
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,12 +24,16 @@ from ctxpress.allocator import (
     reduce_scores,
 )
 from ctxpress.codec import TokenSeq, fnv1a64
-from ctxpress.model import ModelSpec, OpCounter, Weights
+from ctxpress.model import OpCounter, Weights
 from ctxpress.prefill import StreamConfig, prefill_query_part, stream_prefill_context
 
 
 class InsufficientPoints(ValueError):
     """The benchmark needs at least four context lengths."""
+
+
+class TokenIdOutOfRange(ValueError):
+    """A context or query token id lies outside 0..vocab-1."""
 
 
 class PipelineError(RuntimeError):
@@ -39,27 +43,6 @@ class PipelineError(RuntimeError):
         super().__init__(f"stage '{stage}' failed: {original}")
         self.stage = stage
         self.original = original
-
-
-@dataclass(frozen=True)
-class JobConfig:
-    """Everything a compression job needs besides the raw token sequences."""
-
-    model: ModelSpec | None = None
-    weights_path: str | None = None
-    stream: StreamConfig = field(default_factory=StreamConfig)
-    pooling: PoolingConfig = field(default_factory=PoolingConfig)
-    context_path: str | None = None
-    query_path: str | None = None
-    out_path: str | None = None
-
-    def to_json(self) -> dict:
-        meta = {"stream": self.stream.to_json(), "pooling": self.pooling.to_json()}
-        if self.model is not None:
-            meta["model_seed"] = self.model.seed
-        if self.weights_path is not None:
-            meta["weights"] = self.weights_path
-        return meta
 
 
 @dataclass
@@ -113,10 +96,17 @@ def run_compress(
     """Compress the context against the query and append the query ids.
 
     If the budget plus sink already covers the context, the model never runs
-    and the input passes through unchanged.
+    and the input passes through unchanged.  Token ids are checked against
+    the vocabulary first, bypass or not.
     """
     if len(context) == 0 or len(query) == 0:
         raise ValueError("context and query must be non-empty")
+    vocab = weights.spec.vocab
+    for part, seq in (("context", context), ("query", query)):
+        low, high = min(seq.ids), max(seq.ids)
+        if low < 0 or high >= vocab:
+            raise TokenIdOutOfRange(
+                f"{part} token id {low if low < 0 else high} outside 0..{vocab - 1}")
     pooling.validate()
     length = len(context)
     started = time.perf_counter()

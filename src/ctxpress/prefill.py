@@ -1,14 +1,17 @@
 """Streaming chunked prefill with sink + sliding-window caches.
 
-Layers below the retrieval layer keep at most ``sink + window`` rows of keys
-and values between chunks; the retrieval layer stores keys only, full length,
-in a preallocated buffer.  Positions are absolute token indices throughout --
-window survivors keep the positions they were encoded with.
+Context and query prefill share one chunk step: a chunk attends, in each
+layer below the retrieval layer, that layer's cached rows plus itself
+causally (a Lambda mask).  Between chunks each such layer keeps one (k, v)
+pair of at most ``sink + window`` rows, the sink first, then the window.
+The retrieval layer stores keys only, full length, in a preallocated
+buffer.  Positions are absolute token indices throughout -- window
+survivors keep the positions they were encoded with.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,52 +50,21 @@ class StreamConfig:
 
 
 @dataclass
-class LayerKV:
-    """Sink and window key/value rows for one layer below the retrieval layer."""
-
-    sink_k: np.ndarray  # (H, <=S, d_h)
-    sink_v: np.ndarray
-    win_k: np.ndarray  # (H, <=W mid-stream, d_h)
-    win_v: np.ndarray
-
-    @property
-    def sink_rows(self) -> int:
-        return self.sink_k.shape[1]
-
-    @property
-    def win_rows(self) -> int:
-        return self.win_k.shape[1]
-
-    def attended(self) -> tuple[np.ndarray, np.ndarray]:
-        return (np.concatenate([self.sink_k, self.win_k], axis=1),
-                np.concatenate([self.sink_v, self.win_v], axis=1))
-
-    def copy(self) -> "LayerKV":
-        return LayerKV(self.sink_k.copy(), self.sink_v.copy(),
-                       self.win_k.copy(), self.win_v.copy())
-
-
-@dataclass
 class StreamCache:
     config: StreamConfig
     length: int  # context token count L
     sink_len: int  # min(sink, L)
-    layers: list[LayerKV]  # one per layer < retrieval_layer
+    # one (k, v) pair per layer < retrieval_layer, each (H, rows, d_h):
+    # the sink rows first, then the window rows in ascending position
+    layers: list[tuple[np.ndarray, np.ndarray]]
     full_k: np.ndarray  # (H, L, d_h) keys at the retrieval layer
     cursor: int = 0
-    window_positions: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
     def cache_cell_counts(self) -> tuple[int, int]:
         """(key+value cells in layers below, key cells at the retrieval layer),
         counted per head."""
-        low = sum(2 * (kv.sink_rows + kv.win_rows) for kv in self.layers)
+        low = sum(2 * k.shape[1] for k, _ in self.layers)
         return low, self.cursor
-
-    def dump_keys(self, path: str) -> None:
-        """Debug dump of the retrieval-layer key cache (ILRK binary)."""
-        from ctxpress.model import save_key_cache
-
-        save_key_cache(self.full_k, path)
 
 
 def build_lambda_mask(chunk_len: int, sink_len: int, window_len: int) -> np.ndarray:
@@ -121,26 +93,40 @@ def _chunk_bounds(total: int, chunk: int, sink: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def _empty_layer(heads: int, d_h: int) -> LayerKV:
-    z = np.zeros((heads, 0, d_h))
-    return LayerKV(z, z.copy(), z.copy(), z.copy())
+def _prefill_chunks(
+    weights: Weights,
+    config: StreamConfig,
+    layers: list[tuple[np.ndarray, np.ndarray]],
+    ids: np.ndarray,
+    offset: int,
+    sink: int,
+    sink_len: int,
+    counter: OpCounter | None,
+):
+    """The one chunk step of context and query prefill.
 
-
-def _absorb_chunk(kv: LayerKV, new_k: np.ndarray, new_v: np.ndarray, sink_take: int) -> None:
-    # first sink_take rows (only ever nonzero on the first chunk) go to the
-    # sink, the rest to the window; eviction happens after the chunk
-    if sink_take > 0:
-        kv.sink_k = np.concatenate([kv.sink_k, new_k[:, :sink_take]], axis=1)
-        kv.sink_v = np.concatenate([kv.sink_v, new_v[:, :sink_take]], axis=1)
-        new_k, new_v = new_k[:, sink_take:], new_v[:, sink_take:]
-    kv.win_k = np.concatenate([kv.win_k, new_k], axis=1)
-    kv.win_v = np.concatenate([kv.win_v, new_v], axis=1)
-
-
-def _evict(kv: LayerKV, window: int) -> None:
-    if kv.win_rows > window:
-        kv.win_k = kv.win_k[:, -window:]
-        kv.win_v = kv.win_v[:, -window:]
+    Embeds each chunk of ``ids`` (the first is ``chunk + sink`` tokens, the
+    rest ``chunk``), runs it through layers 1..l_R-1 against each layer's
+    cached rows, and yields ``(start, end, x, positions)`` with ``x`` the
+    chunk's input to the retrieval layer and ``start:end`` indexing ``ids``.
+    Each entry of ``layers`` is rebound to the attended rows, trimmed to the
+    first ``sink_len`` and the last ``window`` rows; no array is mutated.
+    """
+    keep = sink_len + config.window
+    for start, end in _chunk_bounds(len(ids), config.chunk, sink):
+        positions = np.arange(offset + start, offset + end, dtype=np.int64)
+        x = embed(weights, ids[start:end])
+        for i, (k, v) in enumerate(layers):
+            cached = k.shape[1]
+            mask = build_lambda_mask(end - start, min(sink_len, cached),
+                                     max(0, cached - sink_len))
+            x, k, v = layer_forward(weights, i + 1, x, positions, mask,
+                                    cache_k=k, cache_v=v, counter=counter)
+            if k.shape[1] > keep:
+                k = np.concatenate([k[:, :sink_len], k[:, -config.window:]], axis=1)
+                v = np.concatenate([v[:, :sink_len], v[:, -config.window:]], axis=1)
+            layers[i] = (k, v)
+        yield start, end, x, positions
 
 
 def stream_prefill_context(
@@ -162,34 +148,18 @@ def stream_prefill_context(
     if length < 1:
         raise ValueError("context must contain at least one token")
     lr = config.retrieval_layer
-    sink_len = min(config.sink, length)
+    empty = np.zeros((spec.heads, 0, spec.head_dim))
     cache = StreamCache(
         config=config,
         length=length,
-        sink_len=sink_len,
-        layers=[_empty_layer(spec.heads, spec.head_dim) for _ in range(lr - 1)],
+        sink_len=min(config.sink, length),
+        layers=[(empty, empty)] * (lr - 1),
         full_k=np.zeros((spec.heads, length, spec.head_dim)),
     )
-    win_positions: list[int] = []
-    for start, end in _chunk_bounds(length, config.chunk, config.sink):
-        positions = np.arange(start, end, dtype=np.int64)
-        x = embed(weights, ids[start:end])
-        for layer in range(1, lr):
-            kv = cache.layers[layer - 1]
-            mask = build_lambda_mask(end - start, kv.sink_rows, kv.win_rows)
-            k_cache, v_cache = kv.attended()
-            x, new_k, new_v = layer_forward(
-                weights, layer, x, positions, mask,
-                cache_k=k_cache, cache_v=v_cache, counter=counter)
-            _absorb_chunk(kv, new_k, new_v, max(0, sink_len - kv.sink_rows))
+    for start, end, x, positions in _prefill_chunks(
+            weights, config, cache.layers, ids, 0, config.sink, cache.sink_len, counter):
         cache.full_k[:, start:end] = project_keys(weights, lr, x, positions)
         cache.cursor = end
-        win_positions.extend(range(max(start, sink_len), end))
-        if len(win_positions) > config.window:
-            win_positions = win_positions[-config.window:]
-        for kv in cache.layers:
-            _evict(kv, config.window)
-    cache.window_positions = np.asarray(win_positions, dtype=np.int64)
     return cache
 
 
@@ -201,11 +171,13 @@ def prefill_query_part(
     start_position: int | None = None,
     counter: OpCounter | None = None,
 ) -> np.ndarray:
-    """Run the query tokens over the frozen context caches and return the
+    """Run the query tokens over the context caches and return the
     rotary-encoded query states (H, L_q, d_h) at the retrieval layer.
 
-    The context cache is not mutated; query keys join a scratch copy of the
-    window so a multi-chunk query stays causal with itself.
+    Query chunks are ``chunk`` tokens from position ``start_position``
+    (default L).  The chunk step works on a copy of the list of cached pairs,
+    so query rows join the window (a multi-chunk query stays causal with
+    itself) while the context cache is left as it was.
     """
     spec = weights.spec
     config.validate(spec.layers)
@@ -214,22 +186,7 @@ def prefill_query_part(
         raise EmptyQuery("query part has no tokens")
     start = cache.length if start_position is None else start_position
     lr = config.retrieval_layer
-    scratch = [kv.copy() for kv in cache.layers]
-    states: list[np.ndarray] = []
-    offset = 0
-    while offset < len(ids):
-        take = min(config.chunk, len(ids) - offset)
-        positions = np.arange(start + offset, start + offset + take, dtype=np.int64)
-        x = embed(weights, ids[offset:offset + take])
-        for layer in range(1, lr):
-            kv = scratch[layer - 1]
-            mask = build_lambda_mask(take, kv.sink_rows, kv.win_rows)
-            k_cache, v_cache = kv.attended()
-            x, new_k, new_v = layer_forward(
-                weights, layer, x, positions, mask,
-                cache_k=k_cache, cache_v=v_cache, counter=counter)
-            _absorb_chunk(kv, new_k, new_v, 0)
-            _evict(kv, config.window)
-        states.append(project_queries(weights, lr, x, positions))
-        offset += take
+    states = [project_queries(weights, lr, x, positions)
+              for _, _, x, positions in _prefill_chunks(
+                  weights, config, list(cache.layers), ids, start, 0, cache.sink_len, counter)]
     return np.concatenate(states, axis=1)

@@ -2,8 +2,10 @@
 
 The dense attention and block-forward routines here are written with plain
 loops and re-derived formulas; the monolithic pipeline runs every token at
-once with a single causal mask (no chunks, no eviction); the naive allocator
-follows the budget loop literally with python sets and lists.
+once with a single causal mask (no chunks, no eviction); the Lambda-mask
+pipeline runs every token at once under a dense mask built entry by entry
+from the chunk, sink and window rule; the naive allocator follows the budget
+loop literally with python sets and lists.
 """
 
 from __future__ import annotations
@@ -105,6 +107,56 @@ def monolithic_pipeline_scores(weights: Weights, retrieval_layer: int,
     q_states = project_queries(weights, retrieval_layer, x[length:], positions[length:])
     attn = query_context_scores(q_states, k_ctx)
     return reduce_scores(attn, sink), k_ctx
+
+
+def lambda_mask(length: int, query_len: int, sink: int, window: int,
+                chunk: int) -> np.ndarray:
+    """Dense (T, T) Lambda mask over context ++ query, T = length + query_len,
+    built entry by entry from the chunk rule.
+
+    Context chunks are ``chunk + sink`` tokens first, then ``chunk``; query
+    chunks are ``chunk`` tokens from position ``length``.  Token t in the
+    chunk starting at a may attend j when j is a sink position
+    (j < min(S_len, a)), one of the last ``window`` non-sink positions before
+    the chunk (max(S_len, a - window) <= j < a), or causal within the chunk
+    (a <= j <= t), where S_len = min(sink, length).
+    """
+    total = length + query_len
+    sink_len = min(sink, length)
+    first = chunk + sink
+    mask = np.zeros((total, total), dtype=bool)
+    for t in range(total):
+        if t >= length:
+            a = length + (t - length) // chunk * chunk
+        elif t < first:
+            a = 0
+        else:
+            a = first + (t - first) // chunk * chunk
+        for j in range(total):
+            mask[t, j] = (j < min(sink_len, a)
+                          or max(sink_len, a - window) <= j < a
+                          or a <= j <= t)
+    return mask
+
+
+def lambda_mask_pipeline(weights: Weights, retrieval_layer: int, ctx_ids: list[int],
+                         query_ids: list[int], sink: int, window: int, chunk: int):
+    """One forward over context ++ query under the dense Lambda mask: every
+    token at once, no caches, no eviction.
+
+    Returns (context keys, query states) at the retrieval layer, the values
+    streaming prefill with the same sink, window and chunk must reproduce.
+    """
+    ids = np.asarray(list(ctx_ids) + list(query_ids), dtype=np.int64)
+    length = len(ctx_ids)
+    mask = lambda_mask(length, len(query_ids), sink, window, chunk)
+    x = embed(weights, ids)
+    positions = np.arange(len(ids))
+    for layer in range(1, retrieval_layer):
+        x, _, _ = layer_forward(weights, layer, x, positions, mask)
+    k_ctx = project_keys(weights, retrieval_layer, x[:length], positions[:length])
+    q_states = project_queries(weights, retrieval_layer, x[length:], positions[length:])
+    return k_ctx, q_states
 
 
 def naive_max_pool(values: list[float], size: int) -> list[float]:

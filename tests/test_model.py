@@ -12,10 +12,8 @@ from ctxpress.model import (
     build_model,
     embed,
     layer_forward,
-    load_key_cache,
     load_weights,
     masked_attention,
-    save_key_cache,
     save_weights,
 )
 from reference import dense_softmax_attention, reference_block_forward, rotate_pairs
@@ -169,15 +167,18 @@ def test_chunked_equals_monolithic(tiny_weights, rng):
     x = embed(tiny_weights, ids)
     positions = np.arange(12)
     full_mask = np.tril(np.ones((12, 12), dtype=bool))
-    want, _, _ = layer_forward(tiny_weights, 1, x, positions, full_mask)
+    want, k_want, v_want = layer_forward(tiny_weights, 1, x, positions, full_mask)
 
     _, k_cache, v_cache = layer_forward(tiny_weights, 1, x[:8], positions[:8],
                                         np.tril(np.ones((8, 8), dtype=bool)))
     tail_mask = np.hstack([np.ones((4, 8), dtype=bool),
                            np.tril(np.ones((4, 4), dtype=bool))])
-    got, _, _ = layer_forward(tiny_weights, 1, x[8:], positions[8:], tail_mask,
-                              cache_k=k_cache, cache_v=v_cache)
+    got, k_got, v_got = layer_forward(tiny_weights, 1, x[8:], positions[8:], tail_mask,
+                                      cache_k=k_cache, cache_v=v_cache)
     assert np.abs(got - want[8:]).max() < 1e-5
+    # the attended rows come back: the 8 cached rows, then the 4 new ones
+    assert np.abs(k_got - k_want).max() < 1e-5
+    assert np.abs(v_got - v_want).max() < 1e-5
 
 
 # --- serialization ----------------------------------------------------------
@@ -212,12 +213,3 @@ def test_weight_file_truncated(tmp_path):
     clipped.write_bytes(full.read_bytes()[:-100])
     with pytest.raises(ValueError, match="truncated"):
         load_weights(str(clipped))
-
-
-def test_key_dump_round_trip(tmp_path, rng):
-    full_k = rng.normal(size=(2, 17, 16)).astype(np.float32).astype(np.float64)
-    path = str(tmp_path / "keys.ilrk")
-    save_key_cache(full_k, path)
-    again = load_key_cache(path)
-    assert again.shape == (2, 17, 16)
-    assert np.allclose(again, full_k, atol=1e-7)

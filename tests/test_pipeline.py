@@ -14,6 +14,7 @@ from ctxpress.model import ModelSpec, build_model
 from ctxpress.pipeline import (
     InsufficientPoints,
     PipelineError,
+    TokenIdOutOfRange,
     bench_scaling,
     count_cache_cells,
     count_dot_products,
@@ -61,6 +62,19 @@ def test_stage_name_surfaces_on_failure(tiny_weights):
     with pytest.raises(PipelineError) as err:
         run_compress(tiny_weights, bad, PoolingConfig(budget=10), ctx, query)
     assert err.value.stage == "context-prefill"
+
+
+@pytest.mark.parametrize("bad_id", [-1, 32768])
+@pytest.mark.parametrize("part", ["context", "query"])
+@pytest.mark.parametrize("budget", [10, 1000])  # compressed and bypassed
+def test_out_of_vocab_id_rejected_before_any_stage(tiny_weights, bad_id, part, budget):
+    ctx, query = _seq(300), _seq(8, seed=2)
+    seq = ctx if part == "context" else query
+    seq.ids[5] = bad_id
+    cfg = StreamConfig(sink=4, window=64, chunk=64, retrieval_layer=2)
+    with pytest.raises(TokenIdOutOfRange, match=part) as err:
+        run_compress(tiny_weights, cfg, PoolingConfig(budget=budget), ctx, query)
+    assert not isinstance(err.value, PipelineError)
 
 
 def test_compress_matches_monolithic_oracle(toy_weights):
@@ -211,6 +225,8 @@ def test_cli_compress(tmp_path, text_files):
     assert blob["config"]["stream"] == {"sink": 4, "window": 64, "chunk": 128,
                                         "retrieval_layer": 2}
     assert blob["config"]["pooling"]["avg_kernels"] == list(range(1, 17))
+    assert blob["config"]["model_seed"] == 7
+    assert "weights" not in blob["config"]
     assert len(blob["indices"]) == len(set(blob["indices"]))
     assert blob["indices"] == sorted(blob["indices"])
 
@@ -229,6 +245,7 @@ def test_cli_compress_from_weight_file(tmp_path, text_files):
     assert proc.returncode == 0, proc.stderr
     blob = json.loads(out.read_text())
     assert blob["config"]["weights"] == str(weights_path)
+    assert blob["config"]["model_seed"] == 9
     assert len(blob["indices"]) == 32 + 4
 
 
@@ -238,6 +255,16 @@ def test_cli_compress_bad_config_exits_2(tmp_path, text_files):
                     "--layer", "99", "--out", str(tmp_path / "x.json"))
     assert proc.returncode == 2
     assert "error" in proc.stderr
+
+
+def test_cli_maps_out_of_vocab_id_to_exit_2(tmp_path, text_files, monkeypatch):
+    from ctxpress import cli
+    monkeypatch.setattr(cli, "encode", lambda text, vocab: TokenSeq([5, -1, 6]))
+    ctx, query = text_files
+    code = cli.main(["compress", "--dim", "32", "--heads", "2",
+                     "--context", str(ctx), "--query", str(query),
+                     "--out", str(tmp_path / "x.json")])
+    assert code == 2
 
 
 def test_cli_missing_file_exits_2(tmp_path):

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ctxpress.allocator import query_context_scores
 from ctxpress.codec import TokenSeq
 from ctxpress.model import ModelSpec, OpCounter, build_model
 from ctxpress.prefill import (
@@ -12,7 +14,7 @@ from ctxpress.prefill import (
     prefill_query_part,
     stream_prefill_context,
 )
-from reference import monolithic_pipeline_scores
+from reference import lambda_mask_pipeline, monolithic_pipeline_scores
 
 
 def _random_seq(n, seed=3, vocab=32768):
@@ -55,19 +57,21 @@ def test_context_shorter_than_sink_absorbed(tiny_weights):
     cfg = StreamConfig(sink=8, window=4, chunk=8, retrieval_layer=2)
     cache = stream_prefill_context(tiny_weights, cfg, _random_seq(3))
     assert cache.sink_len == 3
-    assert cache.layers[0].sink_rows == 3
-    assert cache.layers[0].win_rows == 0
+    k, v = cache.layers[0]  # the 3 sink rows and an empty window
+    assert k.shape == v.shape == (2, 3, 16)
 
 
 def test_eviction_trace(tiny_weights):
     # S=4, W=8, chunk=8, L=40: chunks are 12, 8, 8, 8, 4; afterwards every
-    # lower layer holds 4 sink rows + the window {32..39}
+    # lower layer holds the keys of the 4 sink rows + the window {32..39}
     cfg = StreamConfig(sink=4, window=8, chunk=8, retrieval_layer=3)
-    cache = stream_prefill_context(tiny_weights, cfg, _random_seq(40))
-    for kv in cache.layers:
-        assert kv.sink_rows == 4
-        assert kv.win_rows == 8
-    assert cache.window_positions.tolist() == list(range(32, 40))
+    ctx = _random_seq(40)
+    cache = stream_prefill_context(tiny_weights, cfg, ctx)
+    kept = list(range(4)) + list(range(32, 40))
+    for layer, (k, v) in enumerate(cache.layers, start=1):
+        assert k.shape == v.shape == (2, 12, 16)
+        k_ref, _ = lambda_mask_pipeline(tiny_weights, layer, ctx.ids, [5], 4, 8, 8)
+        assert np.abs(k - k_ref[:, kept]).max() < 1e-5
     assert cache.cursor == 40
 
 
@@ -84,8 +88,8 @@ def test_full_keys_match_monolithic(toy_weights):
 def test_cache_bound_between_chunks(tiny_weights):
     cfg = StreamConfig(sink=4, window=16, chunk=8, retrieval_layer=4)
     cache = stream_prefill_context(tiny_weights, cfg, _random_seq(200))
-    for kv in cache.layers:
-        assert kv.sink_rows + kv.win_rows <= cfg.sink + cfg.window
+    for k, v in cache.layers:
+        assert k.shape[1] == v.shape[1] <= cfg.sink + cfg.window
 
 
 def test_retrieval_layer_validated(tiny_weights):
@@ -145,10 +149,10 @@ def test_query_attends_sink_window_and_itself(tiny_weights):
 def test_query_does_not_mutate_cache(tiny_weights):
     cfg = StreamConfig(sink=4, window=8, chunk=16, retrieval_layer=3)
     cache = stream_prefill_context(tiny_weights, cfg, _random_seq(64))
-    before = [kv.win_k.copy() for kv in cache.layers]
+    before = [(k.copy(), v.copy()) for k, v in cache.layers]
     prefill_query_part(tiny_weights, cfg, cache, _random_seq(12, seed=5))
-    for kv, saved in zip(cache.layers, before):
-        assert np.array_equal(kv.win_k, saved)
+    for (k, v), (k_saved, v_saved) in zip(cache.layers, before):
+        assert np.array_equal(k, k_saved) and np.array_equal(v, v_saved)
 
 
 # --- dot-product accounting -------------------------------------------------
@@ -175,12 +179,21 @@ def test_full_k_written_once_per_position(tiny_weights):
     assert not np.all(cache.full_k == 0.0, axis=(0, 2)).any()  # every row filled
 
 
-def test_key_cache_dump_round_trip(tiny_weights, tmp_path):
-    from ctxpress.model import load_key_cache
-    cfg = StreamConfig(sink=2, window=8, chunk=8, retrieval_layer=2)
-    cache = stream_prefill_context(tiny_weights, cfg, _random_seq(30))
-    path = str(tmp_path / "ctx.ilrk")
-    cache.dump_keys(path)
-    again = load_key_cache(path)
-    assert again.shape == cache.full_k.shape
-    assert np.abs(again - cache.full_k).max() < 1e-6  # f32 storage
+# --- Lambda-mask oracle -----------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(sink=st.integers(0, 6), window=st.integers(1, 24), chunk=st.integers(1, 24),
+       lr=st.integers(1, 4), length=st.integers(1, 120), query_len=st.integers(1, 30))
+def test_streaming_matches_dense_lambda_mask(tiny_weights, sink, window, chunk, lr,
+                                             length, query_len):
+    # chunking, sink and window eviction reproduce one dense-mask forward
+    ctx, query = _random_seq(length), _random_seq(query_len, seed=5)
+    cfg = StreamConfig(sink=sink, window=window, chunk=chunk, retrieval_layer=lr)
+    cache = stream_prefill_context(tiny_weights, cfg, ctx)
+    states = prefill_query_part(tiny_weights, cfg, cache, query)
+    k_ref, q_ref = lambda_mask_pipeline(tiny_weights, lr, ctx.ids, query.ids,
+                                        sink, window, chunk)
+    assert np.abs(cache.full_k - k_ref).max() < 1e-5
+    assert np.abs(states - q_ref).max() < 1e-5
+    attn = query_context_scores(states, cache.full_k)
+    assert np.abs(attn - query_context_scores(q_ref, k_ref)).max() < 1e-5
