@@ -56,10 +56,6 @@ class PoolingConfig:
         if self.budget < 0:
             raise ValueError("budget must be non-negative")
 
-    @property
-    def combinations(self) -> int:
-        return len(self.max_kernels) * len(self.avg_kernels)
-
     def to_json(self) -> dict:
         return {"max_kernels": list(self.max_kernels),
                 "avg_kernels": list(self.avg_kernels),
@@ -119,16 +115,6 @@ def _max_pool(values: np.ndarray, size: int) -> np.ndarray:
     return padded.reshape(buckets, size).max(axis=1)
 
 
-def _ranked_windows(values: np.ndarray, m: int, n: int) -> tuple[np.ndarray, int]:
-    """Window start positions (in pooled space) by descending avg score,
-    ties to the lower position.  Returns (order, effective avg size)."""
-    pooled = _max_pool(values, m)
-    n_eff = min(n, len(pooled))
-    avgs = sliding_window_view(pooled, n_eff).mean(axis=-1)
-    order = np.argsort(-avgs, kind="stable")
-    return order, n_eff
-
-
 def pooled_ranking(
     scores: ScoreVector,
     m: int,
@@ -137,17 +123,18 @@ def pooled_ranking(
 ) -> Iterator[int]:
     """Stream absolute candidate indices for one (max m, avg n) combination.
 
-    Windows are visited best-first; inside a window, offsets ascend.  The
-    same index may appear under several overlapping windows -- the caller
-    deduplicates.
+    Windows are ranked in pooled space by descending average score, ties to
+    the lower position, and visited best-first; inside a window, offsets
+    ascend.  The same index may appear under several overlapping windows --
+    the caller deduplicates.
     """
     values = scores.values
     if len(values) == 0:
         return
-    order, n_eff = _ranked_windows(values, m, n)
-    if max_windows is not None:
-        order = order[:max_windows]
-    for a in order:
+    pooled = _max_pool(values, m)
+    n_eff = min(n, len(pooled))
+    avgs = sliding_window_view(pooled, n_eff).mean(axis=-1)
+    for a in np.argsort(-avgs, kind="stable")[:max_windows]:
         lo = int(a) * m
         hi = min((int(a) + n_eff) * m, len(values))
         for off in range(lo, hi):
@@ -165,8 +152,10 @@ def context_allocate(
     The sink is always kept.  Each combination receives floor(B/N) indices
     (the first B mod N combinations one extra, in loop order: max kernels
     outer, avg kernels inner) and consumes its ranked stream skipping indices
-    already taken.  A defensive final pass over the plain (1, 1) ranking tops
-    up any shortfall so |indices| == min(sink + B, L) unconditionally.
+    already taken.  A combination falls short when its ``B // m + 1`` window
+    cap lets through fewer new indices than its quota, e.g. when the top
+    window is a short trailing bucket; a final pass over the plain (1, 1)
+    ranking then tops up the shortfall so |indices| == min(sink + B, L).
     """
     cfg.validate()
     length = len(context)

@@ -9,6 +9,7 @@ not for fidelity.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -57,10 +58,6 @@ class Span:
     def to_json(self) -> dict:
         return {"label": self.label, "start": self.start, "end": self.end}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "Span":
-        return cls(str(obj["label"]), int(obj["start"]), int(obj["end"]))
-
 
 @dataclass
 class TokenSeq:
@@ -80,32 +77,15 @@ class TokenSeq:
     def to_json(self) -> dict:
         return {"ids": list(self.ids), "spans": [s.to_json() for s in self.spans]}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "TokenSeq":
-        seq = cls([int(i) for i in obj["ids"]], [Span.from_json(s) for s in obj.get("spans", [])])
-        seq.check()
-        return seq
+
+# [^\W_] matches exactly what str.isalnum accepts and \s what str.isspace
+# accepts: a run of alphanumerics, or any other non-space character alone
+_PIECE = re.compile(r"[^\W_]+|[^\w\s]|_")
 
 
 def split_pieces(text: str) -> list[str]:
     """Split on whitespace runs; every non-alphanumeric char is its own piece."""
-    pieces: list[str] = []
-    word: list[str] = []
-    for ch in text:
-        if ch.isspace():
-            if word:
-                pieces.append("".join(word))
-                word = []
-        elif ch.isalnum():
-            word.append(ch)
-        else:
-            if word:
-                pieces.append("".join(word))
-                word = []
-            pieces.append(ch)
-    if word:
-        pieces.append("".join(word))
-    return pieces
+    return _PIECE.findall(text)
 
 
 def encode(text: str, vocab: Vocab | None = None, memo: dict[int, str] | None = None) -> TokenSeq:

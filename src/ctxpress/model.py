@@ -236,12 +236,9 @@ def layer_forward(
         k, v = (empty, empty) if cache_k is None else (cache_k, cache_v)
         return x.copy(), k.copy(), v.copy()
     lw = weights.layers[layer - 1]
-    normed = rms_norm(x, lw.attn_gain)
-    q = _split_heads(normed @ lw.wq.astype(np.float64), spec.heads)
-    k = _split_heads(normed @ lw.wk.astype(np.float64), spec.heads)
-    v = _split_heads(normed @ lw.wv.astype(np.float64), spec.heads)
-    q = apply_position_encoding(q, positions, spec.rope_base)
-    k = apply_position_encoding(k, positions, spec.rope_base)
+    q = project_queries(weights, layer, x, positions)
+    k = project_keys(weights, layer, x, positions)
+    v = _split_heads(rms_norm(x, lw.attn_gain) @ lw.wv.astype(np.float64), spec.heads)
     if cache_k is not None and cache_k.shape[1] > 0:
         k_all = np.concatenate([cache_k, k], axis=1)
         v_all = np.concatenate([cache_v, v], axis=1)
@@ -305,4 +302,6 @@ def load_weights(path: str) -> Weights:
                 w_in=read_block((d, hidden)), w_out=read_block((hidden, d)),
                 attn_gain=read_block((d,)), ffn_gain=read_block((d,)),
             ))
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after the last weight block")
     return Weights(spec=spec, embedding=emb, layers=layer_ws)

@@ -177,12 +177,11 @@ class RecallReport:
             raise KeyError(f"no cells for layer {layer}")
         return sum(vals) / len(vals)
 
-    def best_layer(self, tie_epsilon: float = 1e-9) -> int:
-        """Smallest layer index among those within tie_epsilon of the best mean."""
+    def best_layer(self) -> int:
+        """Smallest layer index among those within 1e-9 of the best mean."""
         layers = self.layers()
         best = max(self.layer_mean(layer) for layer in layers)
-        return min(layer for layer in layers
-                   if self.layer_mean(layer) >= best - tie_epsilon)
+        return min(layer for layer in layers if self.layer_mean(layer) >= best - 1e-9)
 
     def to_json(self, spec: dict | None = None) -> dict:
         per_layer: dict[str, dict] = {}
@@ -198,7 +197,7 @@ def select_retrieval_layer(
     task: NeedleTaskSpec,
     candidate_layers: list[int],
     pooling: PoolingConfig,
-    stream: StreamConfig | None = None,
+    stream: StreamConfig,
 ) -> tuple[int, RecallReport]:
     """Run the recall grid for each candidate layer and apply the
     lowest-index-among-best rule.
@@ -207,7 +206,6 @@ def select_retrieval_layer(
     task seed) are evaluated at every layer.
     """
     task.validate()
-    stream = stream or StreamConfig()
     n_layers = weights.spec.layers
     for layer in candidate_layers:
         if not 1 <= layer <= n_layers:

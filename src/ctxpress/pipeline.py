@@ -10,6 +10,7 @@ cost is quadratic.
 from __future__ import annotations
 
 import csv
+import gc
 import statistics
 import time
 from dataclasses import dataclass, replace
@@ -156,11 +157,9 @@ def count_dot_products(
     length: int,
     query_len: int,
     stream: StreamConfig,
-    budget: int | None = None,
 ) -> int:
     """Instrumented dot-product count of one compression at the given sizes."""
-    if budget is None:
-        budget = min(64, max(0, length - stream.sink - 1))
+    budget = min(64, max(0, length - stream.sink - 1))
     pooling = PoolingConfig(max_kernels=(1,), avg_kernels=(1,), budget=budget)
     spec = weights.spec
     context = synthetic_ids(length, spec.vocab, spec.seed)
@@ -221,31 +220,43 @@ def bench_scaling(
 
     ``full_attention=True`` widens the window to the context length, turning
     the engine into the no-eviction full-KV baseline.  Wall time per length
-    is the median of ``runs`` runs.
+    is the median of ``runs`` runs.  The lengths are timed round-robin (run
+    r of every length before run r+1), after one untimed warm-up call, with
+    garbage collected before and switched off during each timed call, so
+    drift in the host's speed spreads evenly over the lengths.
     """
     if len(lengths) < 4:
         raise InsufficientPoints(f"need >= 4 lengths, got {len(lengths)}")
     if any(b >= a for a, b in zip(lengths[1:], lengths)):
         raise ValueError("lengths must be strictly ascending")
     spec = weights.spec
-    rows = []
+    jobs = []
     for length in lengths:
         config = replace(stream, window=length) if full_attention else stream
         if length <= pooling.budget + config.sink:
             raise ValueError(f"length {length} within budget; benchmark would bypass")
-        context = synthetic_ids(length, spec.vocab, spec.seed)
-        query = synthetic_ids(query_len, spec.vocab, spec.seed, tag="bench-query")
-        times = []
-        result = None
-        for _ in range(runs):
-            result = run_compress(weights, config, pooling, context, query)
-            times.append(result.cost.wall_seconds)
-        rows.append(BenchRow(
-            length=length,
-            dot_products=result.cost.dot_products,
-            cache_cells_low=result.cost.cache_cells_low,
-            cache_cells_retrieval=result.cost.cache_cells_retrieval,
-            wall_ms=statistics.median(times) * 1000.0))
+        jobs.append((config, synthetic_ids(length, spec.vocab, spec.seed)))
+    query = synthetic_ids(query_len, spec.vocab, spec.seed, tag="bench-query")
+    config, context = jobs[0]
+    run_compress(weights, config, pooling, context, query)  # warm-up, not timed
+    costs: list[list[CostReport]] = [[] for _ in jobs]
+    gc_was_on = gc.isenabled()
+    for _ in range(runs):
+        for (config, context), done in zip(jobs, costs):
+            gc.collect()
+            gc.disable()
+            try:
+                done.append(run_compress(weights, config, pooling, context, query).cost)
+            finally:
+                if gc_was_on:
+                    gc.enable()
+    rows = [BenchRow(
+        length=length,
+        dot_products=done[-1].dot_products,
+        cache_cells_low=done[-1].cache_cells_low,
+        cache_cells_retrieval=done[-1].cache_cells_retrieval,
+        wall_ms=statistics.median(cost.wall_seconds for cost in done) * 1000.0)
+        for length, done in zip(lengths, costs)]
     xs = np.array([row.length for row in rows], dtype=np.float64)
     return BenchResult(
         rows=rows,

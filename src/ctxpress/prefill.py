@@ -51,7 +51,6 @@ class StreamConfig:
 
 @dataclass
 class StreamCache:
-    config: StreamConfig
     length: int  # context token count L
     sink_len: int  # min(sink, L)
     # one (k, v) pair per layer < retrieval_layer, each (H, rows, d_h):
@@ -150,7 +149,6 @@ def stream_prefill_context(
     lr = config.retrieval_layer
     empty = np.zeros((spec.heads, 0, spec.head_dim))
     cache = StreamCache(
-        config=config,
         length=length,
         sink_len=min(config.sink, length),
         layers=[(empty, empty)] * (lr - 1),
@@ -168,25 +166,24 @@ def prefill_query_part(
     config: StreamConfig,
     cache: StreamCache,
     query: TokenSeq,
-    start_position: int | None = None,
     counter: OpCounter | None = None,
 ) -> np.ndarray:
     """Run the query tokens over the context caches and return the
     rotary-encoded query states (H, L_q, d_h) at the retrieval layer.
 
-    Query chunks are ``chunk`` tokens from position ``start_position``
-    (default L).  The chunk step works on a copy of the list of cached pairs,
-    so query rows join the window (a multi-chunk query stays causal with
-    itself) while the context cache is left as it was.
+    Query chunks are ``chunk`` tokens from position L.  The chunk step works
+    on a copy of the list of cached pairs, so query rows join the window (a
+    multi-chunk query stays causal with itself) while the context cache is
+    left as it was.
     """
     spec = weights.spec
     config.validate(spec.layers)
     ids = np.asarray(query.ids, dtype=np.int64)
     if len(ids) == 0:
         raise EmptyQuery("query part has no tokens")
-    start = cache.length if start_position is None else start_position
     lr = config.retrieval_layer
     states = [project_queries(weights, lr, x, positions)
               for _, _, x, positions in _prefill_chunks(
-                  weights, config, list(cache.layers), ids, start, 0, cache.sink_len, counter)]
+                  weights, config, list(cache.layers), ids, cache.length, 0, cache.sink_len,
+                  counter)]
     return np.concatenate(states, axis=1)

@@ -225,6 +225,18 @@ def test_allocated_indices_come_from_ranked_windows(rng):
     assert set(res.indices) - set(range(4)) <= covered
 
 
+def test_fallback_tops_up_short_trailing_window():
+    # max kernel 8 over 11 scores leaves a trailing bucket {8, 9, 10}; the
+    # window cap 7 // 8 + 1 = 1 admits only that top bucket, whose 3 indices
+    # fall short of the quota of 7, so the (1, 1) pass tops up the rest
+    values = [.1] * 8 + [.9, .2, .3]
+    cfg = PoolingConfig(max_kernels=(8,), avg_kernels=(1,), budget=7)
+    res = context_allocate(_scores(values), cfg, _context(11), 0)
+    assert res.used_fallback
+    assert res.indices == [0, 1, 2, 3, 8, 9, 10]
+    assert res.indices == naive_allocate(np.asarray(values), 0, 7, [8], [1], 11)
+
+
 def test_plateau_with_decoy_spike_matches_naive_loop():
     # a 0.5 plateau at offsets 20..47 plus a 0.99 spike at 5: with B=32 the
     # budget exceeds the plateau, so the single-kernel config saturates it

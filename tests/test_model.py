@@ -213,3 +213,13 @@ def test_weight_file_truncated(tmp_path):
     clipped.write_bytes(full.read_bytes()[:-100])
     with pytest.raises(ValueError, match="truncated"):
         load_weights(str(clipped))
+
+
+def test_weight_file_trailing_bytes(tmp_path):
+    spec = ModelSpec(vocab=256, dim=32, heads=2, layers=2, seed=5)
+    full = tmp_path / "full.ilrw"
+    save_weights(build_model(spec), str(full))
+    padded = tmp_path / "padded.ilrw"
+    padded.write_bytes(full.read_bytes() + b"\x00junk\xff\x01")
+    with pytest.raises(ValueError, match="trailing bytes"):
+        load_weights(str(padded))

@@ -2,8 +2,10 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,3 +315,14 @@ def test_cli_bench(tmp_path):
     assert "R^2" in proc.stdout
     rows = out.read_text().strip().splitlines()
     assert len(rows) == 5
+
+
+def test_needle_demo_script_runs():
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "needle_demo.py"),
+         "--length", "400", "--budget", "64"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert "needle recall =" in proc.stdout
