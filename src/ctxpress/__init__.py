@@ -59,7 +59,6 @@ from ctxpress.pipeline import (
     bench_scaling,
     count_cache_cells,
     count_dot_products,
-    dot_product_bound,
     run_compress,
 )
 

@@ -21,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ctxpress.codec import TokenSeq
-from ctxpress.model import OpCounter
+from ctxpress.model import OpCounter, softmax_rows
 
 
 class DegenerateContext(ValueError):
@@ -48,7 +48,7 @@ class PoolingConfig:
     avg_kernels: tuple[int, ...] = tuple(range(1, 17))
     budget: int = 4096
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.max_kernels or not self.avg_kernels:
             raise ValueError("need at least one max and one avg kernel")
         if min(self.max_kernels) < 1 or min(self.avg_kernels) < 1:
@@ -90,10 +90,7 @@ def query_context_scores(
         counter.add(query_states.shape[1] * full_k.shape[1])
     d_h = query_states.shape[-1]
     logits = np.matmul(query_states, np.swapaxes(full_k, -1, -2)) / math.sqrt(d_h)
-    logits -= logits.max(axis=-1, keepdims=True)
-    np.exp(logits, out=logits)
-    logits /= logits.sum(axis=-1, keepdims=True)
-    return logits
+    return softmax_rows(logits)
 
 
 def reduce_scores(attn: np.ndarray, sink: int) -> ScoreVector:
@@ -157,7 +154,6 @@ def context_allocate(
     window is a short trailing bucket; a final pass over the plain (1, 1)
     ranking then tops up the shortfall so |indices| == min(sink + B, L).
     """
-    cfg.validate()
     length = len(context)
     sink_count = min(sink, length)
     if len(scores.values) != length - sink_count or scores.origin != sink_count:

@@ -69,7 +69,6 @@ def cmd_compress(args: argparse.Namespace) -> int:
                             avg_kernels=tuple(parse_int_list(args.avg_kernels)),
                             budget=args.budget)
     stream.validate(weights.spec.layers)
-    pooling.validate()
     vocab = Vocab(size=weights.spec.vocab)
     with open(args.context, encoding="utf-8") as fh:
         context = encode(fh.read(), vocab)
@@ -129,6 +128,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     stream = StreamConfig(sink=args.sink, window=args.window, chunk=args.chunk,
                           retrieval_layer=args.layer)
     pooling = PoolingConfig(budget=args.budget)
+    stream.validate(weights.spec.layers)
     result = bench_scaling(weights, stream, pooling, lengths, runs=args.runs,
                            full_attention=args.full_attention)
     result.write_csv(args.out)

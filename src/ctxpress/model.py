@@ -47,7 +47,7 @@ class ModelSpec:
     def hidden_dim(self) -> int:
         return self.ffn_dim if self.ffn_dim is not None else 4 * self.dim
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if min(self.vocab, self.dim, self.heads, self.hidden_dim) <= 0:
             raise DimensionMismatch(f"non-positive dimension in {self}")
         if self.dim % self.heads != 0:
@@ -83,7 +83,7 @@ class Weights:
 
 
 class OpCounter:
-    """Tallies query-key dot products actually required by attention masks."""
+    """Tallies the query-key dot products that attention needs."""
 
     def __init__(self) -> None:
         self.dot_products = 0
@@ -100,7 +100,6 @@ def _draw_block(seed: int, name: str, shape: tuple[int, ...], scale: float) -> n
 
 def build_model(spec: ModelSpec) -> Weights:
     """Fill every weight block uniformly in [-1/sqrt(d), +1/sqrt(d)]."""
-    spec.validate()
     d, hidden = spec.dim, spec.hidden_dim
     scale = 1.0 / math.sqrt(d)
     emb = _draw_block(spec.seed, "embedding", (spec.vocab, d), scale)
@@ -154,12 +153,19 @@ def apply_position_encoding(vecs: np.ndarray, positions: np.ndarray, base: float
     return out
 
 
+def softmax_rows(scores: np.ndarray) -> np.ndarray:
+    """Max-shifted softmax over the last axis, in place; returns ``scores``."""
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
+
+
 def masked_attention(
     q: np.ndarray,
     k: np.ndarray,
     v: np.ndarray,
     mask: np.ndarray,
-    counter: OpCounter | None = None,
     return_probs: bool = False,
 ):
     """Softmax attention restricted to mask-allowed columns.
@@ -173,15 +179,10 @@ def masked_attention(
         raise ValueError(f"mask shape {mask.shape} vs q/k {(q.shape[1], k.shape[1])}")
     if not mask.any(axis=1).all():
         raise EmptyRow("attention mask has a row with no allowed column")
-    if counter is not None:
-        counter.add(int(mask.sum()))
     d_h = q.shape[-1]
     scores = np.matmul(q, np.swapaxes(k, -1, -2)) / math.sqrt(d_h)  # (H, T_q, T_k)
     scores[:, ~mask] = -np.inf  # in place; the matmul output is fresh
-    scores -= scores.max(axis=-1, keepdims=True)
-    np.exp(scores, out=scores)
-    scores /= scores.sum(axis=-1, keepdims=True)
-    out = np.matmul(scores, v)
+    out = np.matmul(softmax_rows(scores), v)
     if return_probs:
         return out, scores
     return out
@@ -220,7 +221,6 @@ def layer_forward(
     mask: np.ndarray,
     cache_k: np.ndarray | None = None,
     cache_v: np.ndarray | None = None,
-    counter: OpCounter | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One pre-norm decoder block over new tokens against an optional KV cache.
 
@@ -244,7 +244,7 @@ def layer_forward(
         v_all = np.concatenate([cache_v, v], axis=1)
     else:
         k_all, v_all = k, v
-    attn = masked_attention(q, k_all, v_all, mask, counter=counter)
+    attn = masked_attention(q, k_all, v_all, mask)
     h = x + _merge_heads(attn) @ lw.wo.astype(np.float64)
     f = rms_norm(h, lw.ffn_gain)
     y = h + gelu(f @ lw.w_in.astype(np.float64)) @ lw.w_out.astype(np.float64)
@@ -283,7 +283,6 @@ def load_weights(path: str) -> Weights:
         vocab, dim, heads, layers, ffn, seed, rope_base = _HEADER.unpack(fh.read(_HEADER.size))
         spec = ModelSpec(vocab=vocab, dim=dim, heads=heads, layers=layers,
                          ffn_dim=ffn, seed=seed, rope_base=rope_base)
-        spec.validate()
 
         def read_block(shape: tuple[int, ...]) -> np.ndarray:
             n = int(np.prod(shape))

@@ -49,7 +49,7 @@ class NeedleTaskSpec:
     budget: int = 1024
     filler: str | None = None  # defaults to the bundled corpus
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.length < 1 or self.segments < 1 or self.budget <= 0:
             raise ValueError(f"invalid task spec {self}")
         if not self.key_digits or min(self.key_digits) < 1:
@@ -116,7 +116,6 @@ def generate_needle_instance(
     (leading zeros kept).  Needle, query, and filler are tokenized as
     separate pieces so the needle's token span is known exactly.
     """
-    spec.validate()
     if not 0 <= depth_index < spec.segments:
         raise ValueError(f"depth_index {depth_index} outside 0..{spec.segments - 1}")
     vocab = vocab or Vocab()
@@ -205,7 +204,8 @@ def select_retrieval_layer(
     The same instances (one per depth x key length cell, derived from the
     task seed) are evaluated at every layer.
     """
-    task.validate()
+    if not candidate_layers:
+        raise ValueError("need at least one candidate layer")
     n_layers = weights.spec.layers
     for layer in candidate_layers:
         if not 1 <= layer <= n_layers:

@@ -81,12 +81,6 @@ def count_cache_cells(length: int, sink: int, window: int, retrieval_layer: int)
     return 2 * (sink + window) * (retrieval_layer - 1), length
 
 
-def dot_product_bound(length: int, query_len: int, sink: int, window: int,
-                      chunk: int, retrieval_layer: int) -> int:
-    """Closed-form upper bound on counted query-key dot products."""
-    return (sink + window + chunk) * (retrieval_layer - 1) * length + query_len * length
-
-
 def run_compress(
     weights: Weights,
     stream: StreamConfig,
@@ -108,7 +102,6 @@ def run_compress(
         if low < 0 or high >= vocab:
             raise TokenIdOutOfRange(
                 f"{part} token id {low if low < 0 else high} outside 0..{vocab - 1}")
-    pooling.validate()
     length = len(context)
     started = time.perf_counter()
     if length <= pooling.budget + stream.sink:
@@ -225,6 +218,8 @@ def bench_scaling(
     garbage collected before and switched off during each timed call, so
     drift in the host's speed spreads evenly over the lengths.
     """
+    if runs < 1:
+        raise ValueError(f"need >= 1 run, got {runs}")
     if len(lengths) < 4:
         raise InsufficientPoints(f"need >= 4 lengths, got {len(lengths)}")
     if any(b >= a for a, b in zip(lengths[1:], lengths)):

@@ -37,10 +37,13 @@ class StreamConfig:
     chunk: int = 1024
     retrieval_layer: int = 1
 
-    def validate(self, n_layers: int) -> None:
-        if self.sink < 0 or self.window < 1 or self.chunk < 1:
+    def __post_init__(self) -> None:
+        if self.sink < 0 or self.window < 1 or self.chunk < 1 or self.retrieval_layer < 1:
             raise ValueError(f"invalid stream config {self}")
-        if not 1 <= self.retrieval_layer <= n_layers:
+
+    def validate(self, n_layers: int) -> None:
+        """Check the retrieval layer against a model's layer count."""
+        if self.retrieval_layer > n_layers:
             raise ValueError(
                 f"retrieval_layer {self.retrieval_layer} outside 1..{n_layers}")
 
@@ -66,15 +69,15 @@ class StreamCache:
         return low, self.cursor
 
 
-def build_lambda_mask(chunk_len: int, sink_len: int, window_len: int) -> np.ndarray:
-    """Allow all sink and window columns plus causal columns within the chunk.
+def build_lambda_mask(chunk_len: int, cached: int) -> np.ndarray:
+    """Allow all ``cached`` (sink and window) columns plus causal columns
+    within the chunk.
 
-    Columns are ordered sink, window (ascending position), chunk (ascending);
-    row r of the chunk allows sink_len + window_len + (r+1) columns.
+    Columns are ordered cached rows, then the chunk (ascending); row r of the
+    chunk allows cached + (r+1) columns.
     """
-    if chunk_len < 1 or sink_len < 0 or window_len < 0:
+    if chunk_len < 1 or cached < 0:
         raise ValueError("invalid mask dimensions")
-    cached = sink_len + window_len
     mask = np.zeros((chunk_len, cached + chunk_len), dtype=bool)
     mask[:, :cached] = True
     mask[:, cached:] = np.tril(np.ones((chunk_len, chunk_len), dtype=bool))
@@ -110,17 +113,20 @@ def _prefill_chunks(
     chunk's input to the retrieval layer and ``start:end`` indexing ``ids``.
     Each entry of ``layers`` is rebound to the attended rows, trimmed to the
     first ``sink_len`` and the last ``window`` rows; no array is mutated.
+    ``counter`` gains the Lambda mask's dot products, ``cached*T + T(T+1)/2``
+    per chunk of T tokens and lower layer.
     """
     keep = sink_len + config.window
     for start, end in _chunk_bounds(len(ids), config.chunk, sink):
+        t = end - start
         positions = np.arange(offset + start, offset + end, dtype=np.int64)
         x = embed(weights, ids[start:end])
         for i, (k, v) in enumerate(layers):
             cached = k.shape[1]
-            mask = build_lambda_mask(end - start, min(sink_len, cached),
-                                     max(0, cached - sink_len))
-            x, k, v = layer_forward(weights, i + 1, x, positions, mask,
-                                    cache_k=k, cache_v=v, counter=counter)
+            if counter is not None:
+                counter.add(cached * t + t * (t + 1) // 2)
+            x, k, v = layer_forward(weights, i + 1, x, positions,
+                                    build_lambda_mask(t, cached), cache_k=k, cache_v=v)
             if k.shape[1] > keep:
                 k = np.concatenate([k[:, :sink_len], k[:, -config.window:]], axis=1)
                 v = np.concatenate([v[:, :sink_len], v[:, -config.window:]], axis=1)

@@ -208,6 +208,7 @@ def test_select_layer_grid_complete(tiny_weights):
 
 def test_select_layer_rejects_bad_candidates(tiny_weights):
     task = NeedleTaskSpec(length=300, key_digits=(6,), segments=4, seed=9, budget=64)
-    with pytest.raises(ValueError):
-        select_retrieval_layer(tiny_weights, task, [9], PoolingConfig(budget=64),
-                               StreamConfig())
+    for candidates in ([9], []):
+        with pytest.raises(ValueError, match="candidate layer"):
+            select_retrieval_layer(tiny_weights, task, candidates, PoolingConfig(budget=64),
+                                   StreamConfig())

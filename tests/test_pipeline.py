@@ -12,7 +12,8 @@ import pytest
 
 from ctxpress.allocator import PoolingConfig
 from ctxpress.codec import TokenSeq
-from ctxpress.model import ModelSpec, build_model
+from ctxpress.model import DimensionMismatch, ModelSpec, build_model
+from ctxpress.needles import NeedleTaskSpec
 from ctxpress.pipeline import (
     InsufficientPoints,
     PipelineError,
@@ -20,7 +21,6 @@ from ctxpress.pipeline import (
     bench_scaling,
     count_cache_cells,
     count_dot_products,
-    dot_product_bound,
     linear_fit,
     run_compress,
     synthetic_ids,
@@ -141,13 +141,6 @@ def test_count_doubles_with_length(tiny_weights):
     assert 1.9 <= b / a <= 2.1
 
 
-def test_counts_bounded_by_closed_form(tiny_weights):
-    for lr in (1, 2, 3):
-        cfg = StreamConfig(sink=4, window=32, chunk=64, retrieval_layer=lr)
-        count = count_dot_products(tiny_weights, 640, 8, cfg)
-        assert count <= dot_product_bound(640, 8, 4, 32, 64, lr)
-
-
 def test_full_attention_grows_superlinearly(tiny_weights):
     cfg = StreamConfig(sink=4, window=32, chunk=64, retrieval_layer=2)
     ratios = []
@@ -158,6 +151,36 @@ def test_full_attention_grows_superlinearly(tiny_weights):
                                                retrieval_layer=2))
         ratios.append(full / stream)
     assert ratios[1] / ratios[0] >= 1.5
+
+
+# --- configs ------------------------------------------------------------------
+
+@pytest.mark.parametrize("config, fields, error", [
+    (ModelSpec, {"vocab": 0}, DimensionMismatch),
+    (ModelSpec, {"dim": 0}, DimensionMismatch),
+    (ModelSpec, {"heads": 0}, DimensionMismatch),
+    (ModelSpec, {"ffn_dim": 0}, DimensionMismatch),
+    (ModelSpec, {"dim": 64, "heads": 5}, DimensionMismatch),
+    (ModelSpec, {"dim": 12, "heads": 4}, DimensionMismatch),  # odd head_dim
+    (ModelSpec, {"layers": 1}, DimensionMismatch),
+    (StreamConfig, {"sink": -1}, ValueError),
+    (StreamConfig, {"window": 0}, ValueError),
+    (StreamConfig, {"chunk": 0}, ValueError),
+    (StreamConfig, {"retrieval_layer": 0}, ValueError),
+    (PoolingConfig, {"max_kernels": ()}, ValueError),
+    (PoolingConfig, {"avg_kernels": ()}, ValueError),
+    (PoolingConfig, {"max_kernels": (0,)}, ValueError),
+    (PoolingConfig, {"avg_kernels": (0,)}, ValueError),
+    (PoolingConfig, {"budget": -1}, ValueError),
+    (NeedleTaskSpec, {"length": 0}, ValueError),
+    (NeedleTaskSpec, {"length": 100, "segments": 0}, ValueError),
+    (NeedleTaskSpec, {"length": 100, "budget": 0}, ValueError),
+    (NeedleTaskSpec, {"length": 100, "key_digits": ()}, ValueError),
+    (NeedleTaskSpec, {"length": 100, "key_digits": (0,)}, ValueError),
+])
+def test_invalid_config_raises_at_construction(config, fields, error):
+    with pytest.raises(error):
+        config(**fields)
 
 
 # --- benchmark ----------------------------------------------------------------
@@ -251,12 +274,23 @@ def test_cli_compress_from_weight_file(tmp_path, text_files):
     assert len(blob["indices"]) == 32 + 4
 
 
-def test_cli_compress_bad_config_exits_2(tmp_path, text_files):
-    ctx, query = text_files
-    proc = _run_cli("compress", "--context", str(ctx), "--query", str(query),
-                    "--layer", "99", "--out", str(tmp_path / "x.json"))
-    assert proc.returncode == 2
-    assert "error" in proc.stderr
+@pytest.mark.parametrize("argv", [
+    ["compress", "--layer", "99"],
+    ["select-layer", "--length", "300", "--layers", "1:2", "--chunk", "0"],
+    ["select-layer", "--length", "300", "--layers", "1:2", "--sink", "-1"],
+    ["bench", "--window", "0"],
+    ["bench", "--layer", "9"],
+    ["bench", "--runs", "0"],
+], ids=["compress-layer-99", "select-layer-chunk-0", "select-layer-sink--1",
+        "bench-window-0", "bench-layer-9", "bench-runs-0"])
+def test_cli_compress_bad_config_exits_2(tmp_path, text_files, argv):
+    if argv[0] == "compress":
+        ctx, query = text_files
+        argv = argv + ["--context", str(ctx), "--query", str(query)]
+    proc = _run_cli(*argv, "--out", str(tmp_path / "x.json"))
+    assert proc.returncode == 2, proc.stderr
+    assert "error:" in proc.stderr
+    assert "runtime error" not in proc.stderr
 
 
 def test_cli_maps_out_of_vocab_id_to_exit_2(tmp_path, text_files, monkeypatch):

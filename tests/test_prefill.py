@@ -14,7 +14,7 @@ from ctxpress.prefill import (
     prefill_query_part,
     stream_prefill_context,
 )
-from reference import lambda_mask_pipeline, monolithic_pipeline_scores
+from reference import lambda_mask, lambda_mask_pipeline, monolithic_pipeline_scores
 
 
 def _random_seq(n, seed=3, vocab=32768):
@@ -25,20 +25,20 @@ def _random_seq(n, seed=3, vocab=32768):
 # --- lambda mask ------------------------------------------------------------
 
 def test_mask_degenerate():
-    mask = build_lambda_mask(1, 0, 0)
+    mask = build_lambda_mask(1, 0)
     assert mask.shape == (1, 1)
     assert mask.all()
 
 
 def test_mask_small_case():
-    mask = build_lambda_mask(2, 1, 1)
+    mask = build_lambda_mask(2, 2)
     assert mask.shape == (2, 4)
     assert mask[0].tolist() == [True, True, True, False]
     assert mask[1].tolist() == [True, True, True, True]
 
 
 def test_mask_row_counts():
-    mask = build_lambda_mask(3, 4, 512)
+    mask = build_lambda_mask(3, 516)
     for r in range(3):
         assert mask[r].sum() == 4 + 512 + (r + 1)
 
@@ -189,8 +189,11 @@ def test_streaming_matches_dense_lambda_mask(tiny_weights, sink, window, chunk, 
     # chunking, sink and window eviction reproduce one dense-mask forward
     ctx, query = _random_seq(length), _random_seq(query_len, seed=5)
     cfg = StreamConfig(sink=sink, window=window, chunk=chunk, retrieval_layer=lr)
-    cache = stream_prefill_context(tiny_weights, cfg, ctx)
-    states = prefill_query_part(tiny_weights, cfg, cache, query)
+    counter = OpCounter()
+    cache = stream_prefill_context(tiny_weights, cfg, ctx, counter=counter)
+    states = prefill_query_part(tiny_weights, cfg, cache, query, counter=counter)
+    assert counter.dot_products == (lr - 1) * lambda_mask(length, query_len, sink, window,
+                                                          chunk).sum()
     k_ref, q_ref = lambda_mask_pipeline(tiny_weights, lr, ctx.ids, query.ids,
                                         sink, window, chunk)
     assert np.abs(cache.full_k - k_ref).max() < 1e-5
