@@ -17,10 +17,6 @@ FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
 
-#: reserved ids never produced by the encoder
-RESERVED_TOKENS = {0: "<pad>", 1: "<bos>", 2: "<eos>", 3: "<unk>"}
-
-
 class UnknownId(KeyError):
     """Decoding hit an id with no memo entry."""
 

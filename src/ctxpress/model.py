@@ -131,7 +131,7 @@ def rms_norm(x: np.ndarray, gain: np.ndarray, eps: float = 1e-6) -> np.ndarray:
 
 def gelu(x: np.ndarray) -> np.ndarray:
     # tanh approximation, standard in decoder stacks
-    return 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x ** 3)))
+    return 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * (x * x * x))))
 
 
 def apply_position_encoding(vecs: np.ndarray, positions: np.ndarray, base: float = 10000.0) -> np.ndarray:
@@ -139,18 +139,31 @@ def apply_position_encoding(vecs: np.ndarray, positions: np.ndarray, base: float
 
     ``vecs`` is (..., T, d_h) with even d_h; ``positions`` has length T.
     """
+    return _rotate(vecs, *_rotary_tables(positions, vecs.shape[-1], base))
+
+
+def _rotary_tables(positions: np.ndarray, d_h: int, base: float) -> tuple[np.ndarray, np.ndarray]:
+    # (cos, sin), each (T, d_h/2)
     positions = np.asarray(positions, dtype=np.float64)
-    d_h = vecs.shape[-1]
     half = d_h // 2
     inv_freq = base ** (-2.0 * np.arange(half) / d_h)
     angles = positions[:, None] * inv_freq[None, :]  # (T, half)
-    cos, sin = np.cos(angles), np.sin(angles)
+    return np.cos(angles), np.sin(angles)
+
+
+def _rotate(vecs: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     even = vecs[..., 0::2]
     odd = vecs[..., 1::2]
     out = np.empty_like(vecs, dtype=np.float64)
     out[..., 0::2] = even * cos - odd * sin
     out[..., 1::2] = even * sin + odd * cos
     return out
+
+
+#: rows per block of the Lambda-mask attention kernel; an (H, 64, C + 64)
+#: score block stays in cache where the full (H, T, C + T) tensor does not
+ROW_BLOCK = 64
+_ABOVE_DIAGONAL = np.triu(np.ones((ROW_BLOCK, ROW_BLOCK), dtype=bool), 1)
 
 
 def softmax_rows(scores: np.ndarray) -> np.ndarray:
@@ -165,24 +178,46 @@ def masked_attention(
     q: np.ndarray,
     k: np.ndarray,
     v: np.ndarray,
-    mask: np.ndarray,
+    mask: np.ndarray | None,
     return_probs: bool = False,
 ):
     """Softmax attention restricted to mask-allowed columns.
 
-    q: (H, T_q, d_h), k/v: (H, T_k, d_h), mask: (T_q, T_k) bool.
-    Disallowed columns are -inf before the softmax.  Raises EmptyRow if any
-    mask row allows nothing.
+    q: (H, T_q, d_h), k/v: (H, T_k, d_h).  ``mask`` is a (T_q, T_k) bool
+    array, or None for the Lambda mask: all C = T_k - T_q cached columns,
+    then causal columns among the T_q new rows (row r allows C + r + 1).
+    Disallowed columns are -inf before the softmax.  A dense mask is one
+    block of all rows.  The Lambda mask is walked in ``ROW_BLOCK``-row
+    blocks, each scoring only the columns up to its last row's diagonal, so
+    neither a dense mask nor an (H, T_q, T_k) score tensor is built.
+    Raises EmptyRow if a dense mask row allows nothing.  ``return_probs``
+    (dense mask only) also returns the (H, T_q, T_k) probabilities.
     """
-    mask = np.asarray(mask, dtype=bool)
-    if mask.ndim != 2 or mask.shape != (q.shape[1], k.shape[1]):
-        raise ValueError(f"mask shape {mask.shape} vs q/k {(q.shape[1], k.shape[1])}")
-    if not mask.any(axis=1).all():
-        raise EmptyRow("attention mask has a row with no allowed column")
-    d_h = q.shape[-1]
-    scores = np.matmul(q, np.swapaxes(k, -1, -2)) / math.sqrt(d_h)  # (H, T_q, T_k)
-    scores[:, ~mask] = -np.inf  # in place; the matmul output is fresh
-    out = np.matmul(softmax_rows(scores), v)
+    t_q, t_k = q.shape[1], k.shape[1]
+    if mask is None:
+        cached = t_k - t_q
+        if cached < 0 or return_probs:
+            raise ValueError(f"Lambda attention needs T_k >= T_q and no probs, got {(t_q, t_k)}")
+        blocks = []
+        for r0 in range(0, t_q, ROW_BLOCK):
+            b = min(ROW_BLOCK, t_q - r0)
+            blocks.append((r0, r0 + b, cached + r0 + b, cached + r0, _ABOVE_DIAGONAL[:b, :b]))
+    else:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.ndim != 2 or mask.shape != (t_q, t_k):
+            raise ValueError(f"mask shape {mask.shape} vs q/k {(t_q, t_k)}")
+        if not mask.any(axis=1).all():
+            raise EmptyRow("attention mask has a row with no allowed column")
+        blocks = [(0, t_q, t_k, 0, ~mask)]
+    scale = math.sqrt(q.shape[-1])
+    out = np.empty(q.shape)
+    # rows r0:r1 score keys :cols; ``blocked`` marks the -inf entries of
+    # columns diag: onward
+    for r0, r1, cols, diag, blocked in blocks:
+        scores = np.matmul(q[:, r0:r1], np.swapaxes(k[:, :cols], -1, -2))
+        scores /= scale
+        np.copyto(scores[..., diag:], -np.inf, where=blocked)
+        np.matmul(softmax_rows(scores), v[:, :cols], out=out[:, r0:r1])
     if return_probs:
         return out, scores
     return out
@@ -218,16 +253,17 @@ def layer_forward(
     layer: int,
     x: np.ndarray,
     positions: np.ndarray,
-    mask: np.ndarray,
+    mask: np.ndarray | None,
     cache_k: np.ndarray | None = None,
     cache_v: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One pre-norm decoder block over new tokens against an optional KV cache.
 
     ``layer`` is 1-based.  ``x`` is (T, d); cached keys/values are
-    (H, C, d_h) and are attended before the new tokens.  Returns the block
-    output plus the attended rotary-encoded keys and raw values: the C cached
-    rows followed by the T new rows, in fresh arrays.
+    (H, C, d_h) and are attended before the new tokens.  ``mask`` is a dense
+    (T, C + T) mask, or None for the Lambda mask (see ``masked_attention``).
+    Returns the block output plus the attended rotary-encoded keys and raw
+    values: the C cached rows followed by the T new rows, in fresh arrays.
     """
     spec = weights.spec
     t = x.shape[0]
@@ -236,14 +272,17 @@ def layer_forward(
         k, v = (empty, empty) if cache_k is None else (cache_k, cache_v)
         return x.copy(), k.copy(), v.copy()
     lw = weights.layers[layer - 1]
-    q = project_queries(weights, layer, x, positions)
-    k = project_keys(weights, layer, x, positions)
-    v = _split_heads(rms_norm(x, lw.attn_gain) @ lw.wv.astype(np.float64), spec.heads)
+    x_norm = rms_norm(x, lw.attn_gain)
+    rotary = _rotary_tables(positions, spec.head_dim, spec.rope_base)
+    q, k, v = (_split_heads(x_norm @ w.astype(np.float64), spec.heads)
+               for w in (lw.wq, lw.wk, lw.wv))
+    q, k = _rotate(q, *rotary), _rotate(k, *rotary)
     if cache_k is not None and cache_k.shape[1] > 0:
         k_all = np.concatenate([cache_k, k], axis=1)
         v_all = np.concatenate([cache_v, v], axis=1)
     else:
         k_all, v_all = k, v
+    # called through the module-global name, so a rebinding of it sees every call
     attn = masked_attention(q, k_all, v_all, mask)
     h = x + _merge_heads(attn) @ lw.wo.astype(np.float64)
     f = rms_norm(h, lw.ffn_gain)

@@ -202,7 +202,9 @@ def select_retrieval_layer(
     lowest-index-among-best rule.
 
     The same instances (one per depth x key length cell, derived from the
-    task seed) are evaluated at every layer.
+    task seed) are evaluated at every layer.  A needle context is exactly
+    ``task.length`` tokens, so a budget plus sink that covers it is rejected:
+    every cell would bypass compression and measure nothing.
     """
     if not candidate_layers:
         raise ValueError("need at least one candidate layer")
@@ -210,6 +212,10 @@ def select_retrieval_layer(
     for layer in candidate_layers:
         if not 1 <= layer <= n_layers:
             raise ValueError(f"candidate layer {layer} outside 1..{n_layers}")
+    if task.length <= task.budget + stream.sink:
+        raise ValueError(
+            f"budget {task.budget} plus sink {stream.sink} covers the {task.length}-token "
+            "context; nothing would be compressed")
     vocab = Vocab(size=weights.spec.vocab)
     budgeted = replace(pooling, budget=task.budget)
     instances = {

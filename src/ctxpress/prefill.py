@@ -74,7 +74,9 @@ def build_lambda_mask(chunk_len: int, cached: int) -> np.ndarray:
     within the chunk.
 
     Columns are ordered cached rows, then the chunk (ascending); row r of the
-    chunk allows cached + (r+1) columns.
+    chunk allows cached + (r+1) columns.  This is the dense form of the mask
+    the chunk step applies without building it (``mask=None`` in
+    ``layer_forward``).
     """
     if chunk_len < 1 or cached < 0:
         raise ValueError("invalid mask dimensions")
@@ -125,8 +127,7 @@ def _prefill_chunks(
             cached = k.shape[1]
             if counter is not None:
                 counter.add(cached * t + t * (t + 1) // 2)
-            x, k, v = layer_forward(weights, i + 1, x, positions,
-                                    build_lambda_mask(t, cached), cache_k=k, cache_v=v)
+            x, k, v = layer_forward(weights, i + 1, x, positions, None, cache_k=k, cache_v=v)
             if k.shape[1] > keep:
                 k = np.concatenate([k[:, :sink_len], k[:, -config.window:]], axis=1)
                 v = np.concatenate([v[:, :sink_len], v[:, -config.window:]], axis=1)

@@ -1,10 +1,14 @@
 """Model core: seeded weights, rotary encoding, masked attention, block step."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ctxpress
 from ctxpress.model import (
+    ROW_BLOCK,
     DimensionMismatch,
     EmptyRow,
     ModelSpec,
@@ -16,6 +20,7 @@ from ctxpress.model import (
     masked_attention,
     save_weights,
 )
+from ctxpress.prefill import build_lambda_mask
 from reference import dense_softmax_attention, reference_block_forward, rotate_pairs
 
 
@@ -129,6 +134,39 @@ def test_softmax_rows_sum_to_one(rng):
     _, probs = masked_attention(q, k, v, mask, return_probs=True)
     sums = probs.sum(axis=-1)
     assert np.abs(sums - 1.0).max() < 1e-5
+
+
+def test_softmax_rows_is_the_only_softmax():
+    src = Path(ctxpress.__file__).parent
+    hits = [path.name for path in sorted(src.glob("*.py"))
+            for _ in range(path.read_text(encoding="utf-8").count("np.exp("))]
+    assert hits == ["model.py"]
+
+
+# --- structured Lambda kernel -----------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(heads=st.integers(1, 4), half_dim=st.integers(1, 8), cached=st.integers(0, 600),
+       new=st.one_of(st.integers(1, 200),
+                     st.sampled_from([ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1,
+                                      2 * ROW_BLOCK, 3 * ROW_BLOCK + 5])),
+       seed=st.integers(0, 2**32 - 1))
+def test_lambda_kernel_matches_dense_mask(heads, half_dim, cached, new, seed):
+    # row blocks below, at and above ROW_BLOCK, with a ragged last block
+    gen = np.random.default_rng(seed)
+    q = gen.normal(size=(heads, new, 2 * half_dim))
+    k = gen.normal(size=(heads, cached + new, 2 * half_dim))
+    v = gen.normal(size=(heads, cached + new, 2 * half_dim))
+    got = masked_attention(q, k, v, None)
+    want = masked_attention(q, k, v, build_lambda_mask(new, cached))
+    assert np.abs(got - want).max() < 1e-12
+
+
+def test_lambda_kernel_rejects_fewer_keys_than_queries(rng):
+    q = rng.normal(size=(1, 3, 4))
+    kv = rng.normal(size=(1, 2, 4))
+    with pytest.raises(ValueError, match="T_k >= T_q"):
+        masked_attention(q, kv, kv, None)
 
 
 # --- layer forward ----------------------------------------------------------

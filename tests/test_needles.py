@@ -212,3 +212,18 @@ def test_select_layer_rejects_bad_candidates(tiny_weights):
         with pytest.raises(ValueError, match="candidate layer"):
             select_retrieval_layer(tiny_weights, task, candidates, PoolingConfig(budget=64),
                                    StreamConfig())
+
+
+def test_select_layer_rejects_budget_covering_context(tiny_weights, monkeypatch):
+    # a 300-token needle context with budget 296 and sink 4 would bypass
+    # compression in every cell; no instance may be generated first
+    from ctxpress import needles
+
+    def no_instance(*args, **kwargs):
+        raise AssertionError("instance generated before the budget check")
+
+    monkeypatch.setattr(needles, "generate_needle_instance", no_instance)
+    task = NeedleTaskSpec(length=300, key_digits=(100,), segments=4, budget=296)
+    with pytest.raises(ValueError, match="covers the 300-token context"):
+        select_retrieval_layer(tiny_weights, task, [1], PoolingConfig(budget=296),
+                               StreamConfig(sink=4))

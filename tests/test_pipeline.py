@@ -281,8 +281,10 @@ def test_cli_compress_from_weight_file(tmp_path, text_files):
     ["bench", "--window", "0"],
     ["bench", "--layer", "9"],
     ["bench", "--runs", "0"],
+    ["select-layer", "--length", "300", "--layers", "1", "--dim", "32", "--heads", "2",
+     "--key-digits", "100"],
 ], ids=["compress-layer-99", "select-layer-chunk-0", "select-layer-sink--1",
-        "bench-window-0", "bench-layer-9", "bench-runs-0"])
+        "bench-window-0", "bench-layer-9", "bench-runs-0", "select-layer-budget-covers"])
 def test_cli_compress_bad_config_exits_2(tmp_path, text_files, argv):
     if argv[0] == "compress":
         ctx, query = text_files

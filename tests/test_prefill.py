@@ -155,6 +155,30 @@ def test_query_does_not_mutate_cache(tiny_weights):
         assert np.array_equal(k, k_saved) and np.array_equal(v, v_saved)
 
 
+def test_prefill_attends_without_dense_masks(tiny_weights, monkeypatch):
+    # the chunk step calls the kernel once per chunk and lower layer, with
+    # the structured Lambda mask, and never builds the dense one
+    from ctxpress import model, prefill
+
+    def no_dense_mask(*args):
+        raise AssertionError("dense Lambda mask built during prefill")
+
+    kernel, masks = model.masked_attention, []
+
+    def counted(q, k, v, mask, **kwargs):
+        masks.append(mask)
+        return kernel(q, k, v, mask, **kwargs)
+
+    monkeypatch.setattr(prefill, "build_lambda_mask", no_dense_mask)
+    monkeypatch.setattr(model, "masked_attention", counted)
+    cfg = StreamConfig(sink=4, window=32, chunk=64, retrieval_layer=3)
+    cache = stream_prefill_context(tiny_weights, cfg, _random_seq(300))
+    assert cache.cursor == 300
+    chunks = 5  # 68 (chunk + sink), 64, 64, 64, 40
+    assert len(masks) == chunks * (cfg.retrieval_layer - 1)
+    assert all(mask is None for mask in masks)
+
+
 # --- dot-product accounting -------------------------------------------------
 
 def test_counter_exactly_affine_in_length(tiny_weights):
