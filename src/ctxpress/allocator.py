@@ -76,31 +76,47 @@ class AllocationResult:
                 "config": config or {}}
 
 
+#: float64 entries in one block of query-row probabilities (8 MiB)
+SCORE_BLOCK = 1 << 20
+
+
 def query_context_scores(
     query_states: np.ndarray,
     full_k: np.ndarray,
     counter: OpCounter | None = None,
 ) -> np.ndarray:
-    """Softmax of query-key logits over every context position.
+    """Per-position max over heads and query rows of the query-key softmax.
 
     query_states: (H, L_q, d_h); full_k: (H, L, d_h).  No causal restriction:
-    the whole context precedes the query.  Returns (H, L_q, L) probabilities.
+    the whole context precedes the query.  Query rows go through one
+    (H, r, L) buffer, r = min(L_q, max(8, SCORE_BLOCK // (H*L))), and each
+    row's softmax spans all L columns, so no (H, L_q, L) tensor is built.
+    Returns the (L,) maxima.
     """
+    heads, query_len, d_h = query_states.shape
+    length = full_k.shape[1]
+    if query_len == 0 or length == 0:
+        raise ValueError(f"cannot score {query_len} query rows against {length} keys")
     if counter is not None:
-        counter.add(query_states.shape[1] * full_k.shape[1])
-    d_h = query_states.shape[-1]
-    logits = np.matmul(query_states, np.swapaxes(full_k, -1, -2)) / math.sqrt(d_h)
-    return softmax_rows(logits)
+        counter.add(query_len * length)
+    keys_t = np.swapaxes(full_k, -1, -2)
+    rows = min(query_len, max(8, SCORE_BLOCK // (heads * length)))
+    block = np.empty((heads, rows, length))
+    best = np.zeros(length)
+    for r0 in range(0, query_len, rows):
+        probs = block[:, :query_len - r0]
+        np.matmul(query_states[:, r0:r0 + rows], keys_t, out=probs)
+        probs /= math.sqrt(d_h)
+        np.maximum(best, softmax_rows(probs).max(axis=(0, 1)), out=best)
+    return best
 
 
-def reduce_scores(attn: np.ndarray, sink: int) -> ScoreVector:
-    """Collapse (H, L_q, L) probabilities to max over heads and query rows,
-    dropping the sink columns."""
-    length = attn.shape[2]
+def reduce_scores(values: np.ndarray, sink: int) -> ScoreVector:
+    """Drop the sink positions from the (L,) per-position scores."""
+    length = len(values)
     if length <= sink:
         raise DegenerateContext(f"context length {length} <= sink {sink}")
-    values = attn[:, :, sink:].max(axis=(0, 1))
-    return ScoreVector(values=values, origin=sink)
+    return ScoreVector(values=values[sink:], origin=sink)
 
 
 def _max_pool(values: np.ndarray, size: int) -> np.ndarray:
@@ -131,7 +147,12 @@ def pooled_ranking(
     pooled = _max_pool(values, m)
     n_eff = min(n, len(pooled))
     avgs = sliding_window_view(pooled, n_eff).mean(axis=-1)
-    for a in np.argsort(-avgs, kind="stable")[:max_windows]:
+    order = np.arange(len(avgs))
+    if max_windows is not None and 0 < max_windows < len(avgs):
+        # only windows at least as good as the max_windows-th best can rank
+        kth = len(avgs) - max_windows
+        order = np.flatnonzero(avgs >= np.partition(avgs, kth)[kth])
+    for a in order[np.argsort(-avgs[order], kind="stable")][:max_windows]:
         lo = int(a) * m
         hi = min((int(a) + n_eff) * m, len(values))
         for off in range(lo, hi):

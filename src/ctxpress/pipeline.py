@@ -124,8 +124,8 @@ def run_compress(
     cache = stage("context-prefill", stream_prefill_context, weights, stream, context, counter)
     query_states = stage("query-prefill", prefill_query_part, weights, stream, cache, query,
                          counter=counter)
-    attn = stage("scoring", query_context_scores, query_states, cache.full_k, counter)
-    scores = stage("scoring", reduce_scores, attn, cache.sink_len)
+    values = stage("scoring", query_context_scores, query_states, cache.full_k, counter)
+    scores = stage("scoring", reduce_scores, values, cache.sink_len)
     allocation = stage("allocation", context_allocate, scores, pooling, context, cache.sink_len)
     low, retrieval = cache.cache_cell_counts()
     cost = CostReport(

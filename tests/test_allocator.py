@@ -1,9 +1,13 @@
 """Scoring reduction and budgeted allocation against brute-force oracles."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ctxpress import allocator
 from ctxpress.allocator import (
     DegenerateContext,
     PoolingConfig,
@@ -14,6 +18,7 @@ from ctxpress.allocator import (
     reduce_scores,
 )
 from ctxpress.codec import TokenSeq
+from ctxpress.model import softmax_rows
 from reference import naive_allocate
 
 
@@ -32,53 +37,107 @@ def _rng(seed):
 # --- query-context scoring ---------------------------------------------------
 
 def test_single_context_position_is_certain(rng):
-    attn = query_context_scores(rng.normal(size=(2, 3, 8)), rng.normal(size=(2, 1, 8)))
-    assert np.allclose(attn, 1.0)
+    scores = query_context_scores(rng.normal(size=(2, 3, 8)), rng.normal(size=(2, 1, 8)))
+    assert np.allclose(scores, 1.0)
 
 
 def test_identical_logits_uniform():
     q = np.zeros((1, 2, 8))
     k = np.ones((1, 4, 8))
-    attn = query_context_scores(q, k)
-    assert np.abs(attn - 0.25).max() < 1e-6
+    scores = query_context_scores(q, k)
+    assert np.abs(scores - 0.25).max() < 1e-6
+
+
+def _loop_softmax(q, k):
+    # (H, L_q, L) probabilities built row by row from the formula
+    heads, query_len, d_h = q.shape
+    probs = np.empty((heads, query_len, k.shape[1]))
+    for h in range(heads):
+        for i in range(query_len):
+            logits = k[h] @ q[h, i] / np.sqrt(d_h)
+            ref = np.exp(logits - logits.max())
+            probs[h, i] = ref / ref.sum()
+    return probs
 
 
 def test_scores_match_dense_oracle(rng):
     q = rng.normal(size=(2, 3, 8))
     k = rng.normal(size=(2, 5, 8))
-    attn = query_context_scores(q, k)
-    for h in range(2):
-        for i in range(3):
-            logits = k[h] @ q[h, i] / np.sqrt(8)
-            ref = np.exp(logits - logits.max())
-            ref /= ref.sum()
-            assert np.abs(attn[h, i] - ref).max() < 1e-6
+    scores = query_context_scores(q, k)
+    assert scores.shape == (5,)
+    assert np.abs(scores - _loop_softmax(q, k).max(axis=(0, 1))).max() < 1e-6
 
 
 def test_reduce_identity_single_head_row():
-    attn = np.array([[[0.2, 0.5, 0.3]]])
-    vec = reduce_scores(attn, sink=0)
+    vec = reduce_scores(np.array([0.2, 0.5, 0.3]), sink=0)
     assert np.allclose(vec.values, [0.2, 0.5, 0.3])
     assert vec.origin == 0
 
 
 def test_reduce_elementwise_max():
-    attn = np.array([[[0.1, 0.9]], [[0.8, 0.2]]])
-    assert np.allclose(reduce_scores(attn, 0).values, [0.8, 0.9])
+    # head 0 prefers position 1, head 1 position 0: the score keeps each maximum
+    q = np.zeros((2, 1, 2))
+    k = np.array([[[0.0, 0.0], [8.0, 0.0]], [[8.0, 0.0], [0.0, 0.0]]])
+    q[:, 0, 0] = 1.0
+    probs = _loop_softmax(q, k)
+    vec = reduce_scores(query_context_scores(q, k), 0)
+    assert np.allclose(vec.values, [probs[1, 0, 0], probs[0, 0, 1]])
+    assert vec.values[0] > 0.9 and vec.values[1] > 0.9
 
 
 def test_reduce_matches_triple_loop(rng):
-    attn = rng.random((4, 4, 64))
-    attn /= attn.sum(-1, keepdims=True)
-    vec = reduce_scores(attn, sink=4)
+    q = rng.normal(size=(4, 4, 8))
+    k = rng.normal(size=(4, 64, 8))
+    probs = _loop_softmax(q, k)
+    vec = reduce_scores(query_context_scores(q, k), sink=4)
+    assert vec.origin == 4 and len(vec) == 60
     for c in range(60):
-        want = max(attn[h, q, 4 + c] for h in range(4) for q in range(4))
+        want = max(probs[h, i, 4 + c] for h in range(4) for i in range(4))
         assert vec.values[c] == pytest.approx(want)
 
 
 def test_reduce_rejects_sink_only():
     with pytest.raises(DegenerateContext):
-        reduce_scores(np.ones((1, 1, 3)) / 3, sink=3)
+        reduce_scores(np.ones(3) / 3, sink=3)
+
+
+@pytest.mark.parametrize("shape", [((2, 0, 8), (2, 5, 8)), ((2, 3, 8), (2, 0, 8))])
+def test_scoring_rejects_empty_query_or_keys(shape):
+    q_shape, k_shape = shape
+    with pytest.raises(ValueError):
+        query_context_scores(np.ones(q_shape), np.ones(k_shape))
+
+
+@pytest.mark.parametrize("score_block", [allocator.SCORE_BLOCK, 1])
+@settings(max_examples=60, deadline=None)
+@given(heads=st.integers(1, 4), half_d=st.integers(1, 8), query_len=st.integers(1, 100),
+       length=st.integers(1, 2000), seed=st.integers(0, 2 ** 31 - 1))
+def test_blocked_scores_match_full_softmax(score_block, heads, half_d, query_len, length,
+                                           seed):
+    # SCORE_BLOCK = 1 forces 8-row blocks and, for most L_q, a ragged tail
+    gen = _rng(seed)
+    d_h = 2 * half_d
+    q = gen.normal(size=(heads, query_len, d_h))
+    k = gen.normal(size=(heads, length, d_h))
+    want = softmax_rows(q @ np.swapaxes(k, -1, -2) / np.sqrt(d_h)).max(axis=(0, 1))
+    with mock.patch.object(allocator, "SCORE_BLOCK", score_block):
+        got = query_context_scores(q, k)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_scoring_memory_stays_within_a_block():
+    # the full (2, 256, 32768) float64 tensor would take 128 MiB
+    gen = _rng(5)
+    length = 32768
+    q = gen.normal(size=(2, 256, 16))
+    k = gen.normal(size=(2, length, 16))
+    tracemalloc.start()
+    try:
+        query_context_scores(q, k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * allocator.SCORE_BLOCK * 8 + 4 * length * 8
 
 
 # --- pooled ranking ----------------------------------------------------------
@@ -102,6 +161,26 @@ def test_window_cap():
     vec = _scores(np.linspace(1, 0, 10))
     capped = list(pooled_ranking(vec, 1, 1, max_windows=3))
     assert capped == [0, 1, 2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(levels=st.lists(st.sampled_from([0.1, 0.25, 0.5, 0.9]), min_size=1, max_size=120),
+       m=st.integers(1, 5), n=st.integers(1, 6), cap=st.integers(1, 130))
+def test_capped_ranking_is_prefix_of_uncapped(levels, m, n, cap):
+    # few distinct levels put ties across the cap; the capped stream must be
+    # the first min(cap, windows) windows of the full stable ranking
+    vec = _scores(levels, origin=3)
+    capped = list(pooled_ranking(vec, m, n, max_windows=cap))
+    full = list(pooled_ranking(vec, m, n))
+    assert capped == full[:len(capped)]
+    buckets = -(-len(levels) // m)
+    n_eff = min(n, buckets)
+    windows, pos = 0, 0
+    while pos < len(capped):  # each window starts at its first offset
+        a = (capped[pos] - 3) // m
+        pos += min((a + n_eff) * m, len(levels)) - a * m
+        windows += 1
+    assert windows == min(cap, buckets - n_eff + 1)
 
 
 def test_top_k_cap_rule():

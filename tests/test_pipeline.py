@@ -6,11 +6,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from ctxpress.allocator import PoolingConfig
+from ctxpress import pipeline
+from ctxpress.allocator import PoolingConfig, query_context_scores, reduce_scores
 from ctxpress.codec import TokenSeq
 from ctxpress.model import DimensionMismatch, ModelSpec, build_model
 from ctxpress.needles import NeedleTaskSpec
@@ -26,7 +29,7 @@ from ctxpress.pipeline import (
     synthetic_ids,
 )
 from ctxpress.prefill import StreamConfig
-from reference import monolithic_pipeline_scores
+from reference import lambda_mask_pipeline, monolithic_pipeline_scores, naive_allocate
 
 
 def _seq(n, seed=1):
@@ -88,6 +91,51 @@ def test_compress_matches_monolithic_oracle(toy_weights):
     from ctxpress.allocator import context_allocate
     ref = context_allocate(ref_scores, pooling, ctx, 4)
     assert res.allocation.indices == ref.indices
+
+
+@settings(max_examples=150, deadline=None)
+@given(sink=st.integers(0, 6), window=st.integers(1, 400), chunk=st.integers(1, 200),
+       lr=st.integers(1, 4), length=st.integers(1, 200), query_len=st.integers(1, 24),
+       max_k=st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True),
+       avg_k=st.lists(st.integers(1, 16), min_size=1, max_size=4, unique=True),
+       budget=st.integers(0, 200))
+@example(sink=4, window=8, chunk=16, lr=3, length=40, query_len=5, max_k=[2],
+         avg_k=[1, 3], budget=36)  # bypass: budget + sink covers the context
+@example(sink=4, window=8, chunk=200, lr=3, length=150, query_len=5, max_k=[2, 4],
+         avg_k=[1, 5], budget=30)  # one context chunk
+@example(sink=2, window=8, chunk=16, lr=3, length=150, query_len=20, max_k=[2, 4],
+         avg_k=[1, 5], budget=30)  # Lambda mask evicts: the dense-mask oracle applies
+def test_compress_equals_oracle_scores_then_naive_allocate(tiny_weights, sink, window, chunk,
+                                                           lr, length, query_len, max_k,
+                                                           avg_k, budget):
+    # the pipeline's own score vector is the dense oracle's within 1e-5, and
+    # its allocation is the literal budget loop over that vector
+    ctx, query = _seq(length), _seq(query_len, seed=2)
+    stream = StreamConfig(sink=sink, window=window, chunk=chunk, retrieval_layer=lr)
+    pooling = PoolingConfig(max_kernels=tuple(max_k), avg_kernels=tuple(avg_k), budget=budget)
+    seen = []
+
+    def kept(*args):
+        seen.append(reduce_scores(*args))
+        return seen[-1]
+
+    with mock.patch.object(pipeline, "reduce_scores", kept):
+        res = run_compress(tiny_weights, stream, pooling, ctx, query)
+    if length <= budget + sink:
+        assert res.bypassed and not seen
+        assert res.allocation.indices == list(range(length))
+        return
+    (scores,) = seen
+    assert scores.origin == sink
+    assert res.allocation.indices == naive_allocate(scores.values, sink, budget, max_k,
+                                                    avg_k, length)
+    if lr == 1 or window >= length + query_len:  # the Lambda mask is all of causal
+        ref, _ = monolithic_pipeline_scores(tiny_weights, lr, ctx.ids, query.ids, sink)
+    else:
+        k_ref, q_ref = lambda_mask_pipeline(tiny_weights, lr, ctx.ids, query.ids, sink,
+                                            window, chunk)
+        ref = reduce_scores(query_context_scores(q_ref, k_ref), sink)
+    assert np.abs(scores.values - ref.values).max() < 1e-5
 
 
 def test_deterministic_end_to_end(tiny_weights):

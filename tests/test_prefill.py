@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ctxpress import model, prefill
 from ctxpress.allocator import query_context_scores
 from ctxpress.codec import TokenSeq
 from ctxpress.model import ModelSpec, OpCounter, build_model
@@ -157,8 +158,9 @@ def test_query_does_not_mutate_cache(tiny_weights):
 
 def test_prefill_attends_without_dense_masks(tiny_weights, monkeypatch):
     # the chunk step calls the kernel once per chunk and lower layer, with
-    # the structured Lambda mask, and never builds the dense one
-    from ctxpress import model, prefill
+    # the structured Lambda mask, and never builds the dense one.  The patched
+    # modules are the ones imported with stream_prefill_context at the top:
+    # a later fresh import of ctxpress would leave it calling the originals
 
     def no_dense_mask(*args):
         raise AssertionError("dense Lambda mask built during prefill")
@@ -222,5 +224,5 @@ def test_streaming_matches_dense_lambda_mask(tiny_weights, sink, window, chunk, 
                                         sink, window, chunk)
     assert np.abs(cache.full_k - k_ref).max() < 1e-5
     assert np.abs(states - q_ref).max() < 1e-5
-    attn = query_context_scores(states, cache.full_k)
-    assert np.abs(attn - query_context_scores(q_ref, k_ref)).max() < 1e-5
+    scores = query_context_scores(states, cache.full_k)
+    assert np.abs(scores - query_context_scores(q_ref, k_ref)).max() < 1e-5
