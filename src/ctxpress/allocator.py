@@ -100,13 +100,14 @@ def query_context_scores(
     if counter is not None:
         counter.add(query_len * length)
     keys_t = np.swapaxes(full_k, -1, -2)
+    # one (H, L_q, d_h) product in place of a divide over every score
+    query_states = query_states * (1.0 / math.sqrt(d_h))
     rows = min(query_len, max(8, SCORE_BLOCK // (heads * length)))
     block = np.empty((heads, rows, length))
     best = np.zeros(length)
     for r0 in range(0, query_len, rows):
         probs = block[:, :query_len - r0]
         np.matmul(query_states[:, r0:r0 + rows], keys_t, out=probs)
-        probs /= math.sqrt(d_h)
         np.maximum(best, softmax_rows(probs).max(axis=(0, 1)), out=best)
     return best
 
@@ -130,21 +131,22 @@ def _max_pool(values: np.ndarray, size: int) -> np.ndarray:
 
 def pooled_ranking(
     scores: ScoreVector,
+    pooled: np.ndarray,
     m: int,
     n: int,
     max_windows: int | None = None,
 ) -> Iterator[int]:
     """Stream absolute candidate indices for one (max m, avg n) combination.
 
-    Windows are ranked in pooled space by descending average score, ties to
-    the lower position, and visited best-first; inside a window, offsets
-    ascend.  The same index may appear under several overlapping windows --
-    the caller deduplicates.
+    ``pooled`` is ``_max_pool(scores.values, m)``, computed once by the
+    caller for every avg kernel.  Windows are ranked in pooled space by
+    descending average score, ties to the lower position, and visited
+    best-first; inside a window, offsets ascend.  The same index may appear
+    under several overlapping windows -- the caller deduplicates.
     """
     values = scores.values
     if len(values) == 0:
         return
-    pooled = _max_pool(values, m)
     n_eff = min(n, len(pooled))
     avgs = sliding_window_view(pooled, n_eff).mean(axis=-1)
     order = np.arange(len(avgs))
@@ -187,23 +189,27 @@ def context_allocate(
         indices = list(range(length))
     else:
         allocated = set(range(sink_count))
-        combos = [(m, n) for m in cfg.max_kernels for n in cfg.avg_kernels]
-        base, extra = divmod(cfg.budget, len(combos))
-        for idx, (m, n) in enumerate(combos):
-            quota = base + (1 if idx < extra else 0)
-            if quota == 0:
-                continue
+        base, extra = divmod(cfg.budget, len(cfg.max_kernels) * len(cfg.avg_kernels))
+        combo = 0
+        for m in cfg.max_kernels:
+            pooled = _max_pool(scores.values, m)
             cap = cfg.budget // m + 1
-            taken = 0
-            for cand in pooled_ranking(scores, m, n, max_windows=cap):
-                if taken >= quota:
-                    break
-                if cand not in allocated:
-                    allocated.add(cand)
-                    taken += 1
+            for n in cfg.avg_kernels:
+                quota = base + (1 if combo < extra else 0)
+                combo += 1
+                if quota == 0:
+                    continue
+                taken = 0
+                for cand in pooled_ranking(scores, pooled, m, n, max_windows=cap):
+                    if taken >= quota:
+                        break
+                    if cand not in allocated:
+                        allocated.add(cand)
+                        taken += 1
         if len(allocated) < target:
             used_fallback = True
-            for cand in pooled_ranking(scores, 1, 1):
+            # a size-1 max pool is the score vector itself
+            for cand in pooled_ranking(scores, scores.values, 1, 1):
                 if len(allocated) >= target:
                     break
                 allocated.add(cand)

@@ -91,13 +91,13 @@ def encode(text: str, vocab: Vocab | None = None, memo: dict[int, str] | None = 
     document's earliest claim on a hash slot survives later collisions.
     """
     vocab = vocab or Vocab()
-    ids: list[int] = []
-    for piece in split_pieces(text):
-        tid = vocab.token_id(piece)
-        ids.append(tid)
-        if memo is not None:
+    pieces = split_pieces(text)
+    # each distinct piece is hashed once, in order of first occurrence
+    piece_ids = {piece: vocab.token_id(piece) for piece in dict.fromkeys(pieces)}
+    if memo is not None:
+        for piece, tid in piece_ids.items():
             memo.setdefault(tid, piece)
-    return TokenSeq(ids)
+    return TokenSeq([piece_ids[piece] for piece in pieces])
 
 
 def decode(seq: TokenSeq | Iterable[int], memo: dict[int, str]) -> str:

@@ -10,6 +10,7 @@ compression pipeline has deterministic attention to work with.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -170,7 +171,7 @@ def softmax_rows(scores: np.ndarray) -> np.ndarray:
     """Max-shifted softmax over the last axis, in place; returns ``scores``."""
     scores -= scores.max(axis=-1, keepdims=True)
     np.exp(scores, out=scores)
-    scores /= scores.sum(axis=-1, keepdims=True)
+    scores *= 1.0 / scores.sum(axis=-1, keepdims=True)
     return scores
 
 
@@ -209,13 +210,13 @@ def masked_attention(
         if not mask.any(axis=1).all():
             raise EmptyRow("attention mask has a row with no allowed column")
         blocks = [(0, t_q, t_k, 0, ~mask)]
-    scale = math.sqrt(q.shape[-1])
+    # scaling the (H, T_q, d_h) queries once replaces a divide per score
+    q = q * (1.0 / math.sqrt(q.shape[-1]))
     out = np.empty(q.shape)
     # rows r0:r1 score keys :cols; ``blocked`` marks the -inf entries of
     # columns diag: onward
     for r0, r1, cols, diag, blocked in blocks:
         scores = np.matmul(q[:, r0:r1], np.swapaxes(k[:, :cols], -1, -2))
-        scores /= scale
         np.copyto(scores[..., diag:], -np.inf, where=blocked)
         np.matmul(softmax_rows(scores), v[:, :cols], out=out[:, r0:r1])
     if return_probs:
@@ -313,33 +314,38 @@ def save_weights(weights: Weights, path: str) -> None:
 
 
 def load_weights(path: str) -> Weights:
+    prefix = len(WEIGHT_MAGIC) + 2 + _HEADER.size
     with open(path, "rb") as fh:
-        if fh.read(4) != WEIGHT_MAGIC:
+        head = fh.read(prefix)
+        if head[:4] != WEIGHT_MAGIC:
             raise ValueError(f"{path}: bad magic, not a weight file")
-        (version,) = struct.unpack("<H", fh.read(2))
+        if len(head) != prefix:
+            raise ValueError(f"{path}: truncated weight file header")
+        (version,) = struct.unpack("<H", head[4:6])
         if version != WEIGHT_VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
-        vocab, dim, heads, layers, ffn, seed, rope_base = _HEADER.unpack(fh.read(_HEADER.size))
+        vocab, dim, heads, layers, ffn, seed, rope_base = _HEADER.unpack(head[6:])
         spec = ModelSpec(vocab=vocab, dim=dim, heads=heads, layers=layers,
                          ffn_dim=ffn, seed=seed, rope_base=rope_base)
+        d, hidden = spec.dim, spec.hidden_dim
+        emb_shape = (spec.vocab, d)
+        layer_shapes = [(d, d)] * 4 + [(d, hidden), (hidden, d), (d,), (d,)]
+        # checked before any read, so a header that claims more data than
+        # the file holds never asks for a buffer of that size
+        claimed = prefix + 4 * (math.prod(emb_shape) + spec.layers
+                                * sum(math.prod(shape) for shape in layer_shapes))
+        actual = os.fstat(fh.fileno()).st_size
+        if actual != claimed:
+            problem = ("truncated weight file" if actual < claimed
+                       else "trailing bytes after the last weight block")
+            raise ValueError(f"{path}: {problem}: header claims {claimed} bytes, "
+                             f"file has {actual}")
 
         def read_block(shape: tuple[int, ...]) -> np.ndarray:
-            n = int(np.prod(shape))
-            buf = fh.read(4 * n)
-            if len(buf) != 4 * n:
-                raise ValueError(f"{path}: truncated weight file")
+            buf = fh.read(4 * math.prod(shape))
             return np.frombuffer(buf, dtype="<f4").reshape(shape).copy()
 
-        d, hidden = spec.dim, spec.hidden_dim
-        emb = read_block((spec.vocab, d))
-        layer_ws = []
-        for _ in range(spec.layers):
-            layer_ws.append(LayerWeights(
-                wq=read_block((d, d)), wk=read_block((d, d)),
-                wv=read_block((d, d)), wo=read_block((d, d)),
-                w_in=read_block((d, hidden)), w_out=read_block((hidden, d)),
-                attn_gain=read_block((d,)), ffn_gain=read_block((d,)),
-            ))
-        if fh.read(1):
-            raise ValueError(f"{path}: trailing bytes after the last weight block")
+        emb = read_block(emb_shape)
+        # LayerWeights fields are in serialization order
+        layer_ws = [LayerWeights(*map(read_block, layer_shapes)) for _ in range(spec.layers)]
     return Weights(spec=spec, embedding=emb, layers=layer_ws)

@@ -1,3 +1,4 @@
+import struct
 import sys
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # make tests/reference.py importable
 
-from ctxpress.model import ModelSpec, build_model
+from ctxpress.model import _HEADER, WEIGHT_MAGIC, WEIGHT_VERSION, ModelSpec, build_model
 
 
 @pytest.fixture(scope="session")
@@ -24,3 +25,12 @@ def toy_weights():
 @pytest.fixture()
 def rng():
     return np.random.Generator(np.random.Philox(key=np.array([99, 7], dtype=np.uint64)))
+
+
+@pytest.fixture()
+def oversized_weight_file(tmp_path):
+    """A valid header claiming a 2**31 x 2**20 embedding, then only 64 bytes."""
+    path = tmp_path / "oversized.ilrw"
+    header = _HEADER.pack(2**31, 2**20, 4, 4, 2**22, 0, 10000.0)
+    path.write_bytes(WEIGHT_MAGIC + struct.pack("<H", WEIGHT_VERSION) + header + bytes(64))
+    return path

@@ -26,6 +26,12 @@ def _scores(values, origin=0):
     return ScoreVector(values=np.asarray(values, dtype=np.float64), origin=origin)
 
 
+def _ranking(vec, m, n, max_windows=None):
+    # the caller pools once per max kernel; tests pool per call
+    return list(pooled_ranking(vec, allocator._max_pool(vec.values, m), m, n,
+                               max_windows=max_windows))
+
+
 def _context(n):
     return TokenSeq(list(range(100, 100 + n)))
 
@@ -144,22 +150,22 @@ def test_scoring_memory_stays_within_a_block():
 
 def test_plain_ranking_is_argsort():
     vec = _scores([0.1, 0.9, 0.2, 0.05], origin=2)
-    assert list(pooled_ranking(vec, 1, 1)) == [3, 4, 2, 5]  # 1,2,0,3 plus origin
+    assert _ranking(vec, 1, 1) == [3, 4, 2, 5]  # 1,2,0,3 plus origin
 
 
 def test_max_pool_windows_expand_in_order():
     vec = _scores([0.1, 0.9, 0.2, 0.05])
-    assert list(pooled_ranking(vec, 2, 1)) == [0, 1, 2, 3]
+    assert _ranking(vec, 2, 1) == [0, 1, 2, 3]
 
 
 def test_partial_trailing_window_kept():
     vec = _scores([0.0, 0.0, 0.9])  # bucket 1 is the short tail {2}
-    assert list(pooled_ranking(vec, 2, 1)) == [2, 0, 1]
+    assert _ranking(vec, 2, 1) == [2, 0, 1]
 
 
 def test_window_cap():
     vec = _scores(np.linspace(1, 0, 10))
-    capped = list(pooled_ranking(vec, 1, 1, max_windows=3))
+    capped = _ranking(vec, 1, 1, max_windows=3)
     assert capped == [0, 1, 2]
 
 
@@ -170,8 +176,8 @@ def test_capped_ranking_is_prefix_of_uncapped(levels, m, n, cap):
     # few distinct levels put ties across the cap; the capped stream must be
     # the first min(cap, windows) windows of the full stable ranking
     vec = _scores(levels, origin=3)
-    capped = list(pooled_ranking(vec, m, n, max_windows=cap))
-    full = list(pooled_ranking(vec, m, n))
+    capped = _ranking(vec, m, n, max_windows=cap)
+    full = _ranking(vec, m, n)
     assert capped == full[:len(capped)]
     buckets = -(-len(levels) // m)
     n_eff = min(n, buckets)
@@ -191,12 +197,12 @@ def test_top_k_cap_rule():
 def test_avg_kernel_clamped_to_pooled_length():
     vec = _scores([0.3, 0.1])
     # m=1 gives 2 buckets, n=16 clamps to 2: single window covering both
-    assert list(pooled_ranking(vec, 1, 16)) == [0, 1]
+    assert _ranking(vec, 1, 16) == [0, 1]
 
 
 def test_tie_breaks_prefer_lower_position():
     vec = _scores([0.5, 0.5, 0.5, 0.5])
-    assert list(pooled_ranking(vec, 1, 1)) == [0, 1, 2, 3]
+    assert _ranking(vec, 1, 1) == [0, 1, 2, 3]
 
 
 # --- context allocation ------------------------------------------------------
@@ -257,6 +263,23 @@ def test_remainder_spread_over_earliest_combinations():
     assert res.indices == [0, 1, 2]
 
 
+def test_max_pool_runs_once_per_max_kernel(monkeypatch):
+    # every avg kernel ranks from its max kernel's one pooled vector
+    calls = []
+    real = allocator._max_pool
+
+    def counted(values, size):
+        calls.append(size)
+        return real(values, size)
+
+    monkeypatch.setattr(allocator, "_max_pool", counted)
+    cfg = PoolingConfig()
+    values = _rng(3).random(20_000)
+    res = context_allocate(_scores(values, origin=4), cfg, _context(20_004), 4)
+    assert len(res.indices) == 4 + cfg.budget
+    assert calls == list(cfg.max_kernels)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 400), st.integers(0, 420), st.integers(0, 6), st.integers(0, 2 ** 31 - 1))
 def test_allocation_size_invariant(n, budget, sink, seed):
@@ -299,8 +322,8 @@ def test_allocated_indices_come_from_ranked_windows(rng):
     covered = set()
     for m in cfg.max_kernels:
         for n in cfg.avg_kernels:
-            covered.update(pooled_ranking(_scores(values, 4), m, n,
-                                          max_windows=cfg.budget // m + 1))
+            covered.update(_ranking(_scores(values, 4), m, n,
+                                    max_windows=cfg.budget // m + 1))
     assert set(res.indices) - set(range(4)) <= covered
 
 

@@ -106,3 +106,19 @@ def test_round_trip_reproduces_piece_sequence(words):
     memo = {}
     seq = encode(text, memo=memo)
     assert decode(seq, memo) == " ".join(split_pieces(text))
+
+
+@given(st.lists(st.sampled_from(["dog", "cat", "42", "mill", "(", "tree", "river", "?"]),
+                min_size=0, max_size=60),
+       st.dictionaries(st.integers(4, 7), st.sampled_from(["old", "dog"]), max_size=2))
+def test_encode_hashes_repeats_like_a_per_piece_loop(words, claimed):
+    # Vocab(size=8) leaves 4 hash slots for 8 pieces, so pieces collide and
+    # first-write-wins decides which one the memo keeps
+    vocab = Vocab(size=8)
+    text = " ".join(words)
+    want_memo = dict(claimed)
+    for piece in split_pieces(text):
+        want_memo.setdefault(vocab.token_id(piece), piece)
+    memo = dict(claimed)
+    assert encode(text, vocab, memo).ids == [vocab.token_id(p) for p in split_pieces(text)]
+    assert memo == want_memo

@@ -162,6 +162,22 @@ def test_lambda_kernel_matches_dense_mask(heads, half_dim, cached, new, seed):
     assert np.abs(got - want).max() < 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(heads=st.integers(1, 3), half_dim=st.integers(1, 8), cached=st.integers(0, 40),
+       new=st.integers(1, 70), seed=st.integers(0, 2**32 - 1))
+def test_lambda_kernel_matches_loop_oracle(heads, half_dim, cached, new, seed):
+    # the loop oracle divides each logit by sqrt(d_h) itself, so a score scale
+    # applied twice or not at all shows; most even d_h have an inexact sqrt,
+    # and T up to 70 crosses one ROW_BLOCK
+    gen = np.random.default_rng(seed)
+    q = gen.normal(size=(heads, new, 2 * half_dim))
+    k = gen.normal(size=(heads, cached + new, 2 * half_dim))
+    v = gen.normal(size=(heads, cached + new, 2 * half_dim))
+    got = masked_attention(q, k, v, None)
+    want = dense_softmax_attention(q, k, v, build_lambda_mask(new, cached))
+    assert np.abs(got - want).max() < 1e-12
+
+
 def test_lambda_kernel_rejects_fewer_keys_than_queries(rng):
     q = rng.normal(size=(1, 3, 4))
     kv = rng.normal(size=(1, 2, 4))
@@ -261,3 +277,10 @@ def test_weight_file_trailing_bytes(tmp_path):
     padded.write_bytes(full.read_bytes() + b"\x00junk\xff\x01")
     with pytest.raises(ValueError, match="trailing bytes"):
         load_weights(str(padded))
+
+
+def test_weight_file_header_claiming_more_than_the_file_holds(oversized_weight_file):
+    # the embedding alone would be an 8 PiB read; the size check fails first
+    size = oversized_weight_file.stat().st_size
+    with pytest.raises(ValueError, match=rf"truncated.*claims \d{{16}} bytes, file has {size}$"):
+        load_weights(str(oversized_weight_file))

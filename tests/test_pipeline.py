@@ -331,11 +331,14 @@ def test_cli_compress_from_weight_file(tmp_path, text_files):
     ["bench", "--runs", "0"],
     ["select-layer", "--length", "300", "--layers", "1", "--dim", "32", "--heads", "2",
      "--key-digits", "100"],
+    ["compress", "--weights", "OVERSIZED"],
 ], ids=["compress-layer-99", "select-layer-chunk-0", "select-layer-sink--1",
-        "bench-window-0", "bench-layer-9", "bench-runs-0", "select-layer-budget-covers"])
-def test_cli_compress_bad_config_exits_2(tmp_path, text_files, argv):
+        "bench-window-0", "bench-layer-9", "bench-runs-0", "select-layer-budget-covers",
+        "compress-weights-oversized"])
+def test_cli_compress_bad_config_exits_2(tmp_path, text_files, oversized_weight_file, argv):
     if argv[0] == "compress":
         ctx, query = text_files
+        argv = [str(oversized_weight_file) if a == "OVERSIZED" else a for a in argv]
         argv = argv + ["--context", str(ctx), "--query", str(query)]
     proc = _run_cli(*argv, "--out", str(tmp_path / "x.json"))
     assert proc.returncode == 2, proc.stderr
