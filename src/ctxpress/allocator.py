@@ -14,6 +14,8 @@ All tie-breaks prefer the lower index, so results are reproducible.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -79,6 +81,10 @@ class AllocationResult:
 #: float64 entries in one block of query-row probabilities (8 MiB)
 SCORE_BLOCK = 1 << 20
 
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+#: scores one head per task; threads start at the first submit, none at import
+_POOL = ThreadPoolExecutor(_CPUS) if _CPUS > 1 else None
+
 
 def query_context_scores(
     query_states: np.ndarray,
@@ -87,13 +93,20 @@ def query_context_scores(
 ) -> np.ndarray:
     """Per-position max over heads and query rows of the query-key softmax.
 
-    query_states: (H, L_q, d_h); full_k: (H, L, d_h).  No causal restriction:
-    the whole context precedes the query.  Query rows go through one
-    (H, r, L) buffer, r = min(L_q, max(8, SCORE_BLOCK // (H*L))), and each
-    row's softmax spans all L columns, so no (H, L_q, L) tensor is built.
-    Returns the (L,) maxima.
+    query_states: (H, L_q, d_h); full_k: (H, L, d_h), fastest as the
+    (H, L, d_h) view of a d_h-major buffer, whose transpose the gemms read
+    contiguously.  No causal restriction: the whole context precedes the
+    query.  Each head is one task on a pool of the usable CPUs (inline with
+    one CPU or one head); head h walks its query rows through ``block[h]``
+    of one (H, r, L) buffer, r = min(L_q, max(8, SCORE_BLOCK // (H*L))), and
+    keeps its running maxima in row h of an (H, L) array.  Each row's softmax
+    spans all L columns and max is exact, so the result does not depend on
+    the blocking or the threads.  Returns the (L,) maxima.
     """
     heads, query_len, d_h = query_states.shape
+    if full_k.ndim != 3 or full_k.shape[0] != heads or full_k.shape[2] != d_h:
+        raise ValueError(f"keys {full_k.shape} do not match query states {query_states.shape} "
+                         "in heads and d_h")
     length = full_k.shape[1]
     if query_len == 0 or length == 0:
         raise ValueError(f"cannot score {query_len} query rows against {length} keys")
@@ -104,12 +117,27 @@ def query_context_scores(
     query_states = query_states * (1.0 / math.sqrt(d_h))
     rows = min(query_len, max(8, SCORE_BLOCK // (heads * length)))
     block = np.empty((heads, rows, length))
-    best = np.zeros(length)
-    for r0 in range(0, query_len, rows):
-        probs = block[:, :query_len - r0]
-        np.matmul(query_states[:, r0:r0 + rows], keys_t, out=probs)
-        np.maximum(best, softmax_rows(probs).max(axis=(0, 1)), out=best)
-    return best
+    best = np.zeros((heads, length))
+
+    def score_head(h: int) -> None:
+        for r0 in range(0, query_len, rows):
+            probs = block[h, :query_len - r0]
+            np.matmul(query_states[h, r0:r0 + rows], keys_t[h], out=probs)
+            softmax_rows(probs)
+            # fold the running maxima into the block, then reduce it into them
+            np.maximum(probs[0], best[h], out=probs[0])
+            np.max(probs, axis=0, out=best[h])
+
+    if _POOL is None or heads == 1:
+        for h in range(heads):
+            score_head(h)
+    else:
+        tasks = [_POOL.submit(score_head, h) for h in range(heads)]
+        # no task may still write into the buffers once an error propagates
+        wait(tasks)
+        for task in tasks:
+            task.result()
+    return best.max(axis=0)
 
 
 def reduce_scores(values: np.ndarray, sink: int) -> ScoreVector:

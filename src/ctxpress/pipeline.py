@@ -91,11 +91,13 @@ def run_compress(
     """Compress the context against the query and append the query ids.
 
     If the budget plus sink already covers the context, the model never runs
-    and the input passes through unchanged.  Token ids are checked against
-    the vocabulary first, bypass or not.
+    and the input passes through unchanged.  The retrieval layer is checked
+    against the model and token ids against the vocabulary first, bypass or
+    not.
     """
     if len(context) == 0 or len(query) == 0:
         raise ValueError("context and query must be non-empty")
+    stream.validate(weights.spec.layers)
     vocab = weights.spec.vocab
     for part, seq in (("context", context), ("query", query)):
         low, high = min(seq.ids), max(seq.ids)

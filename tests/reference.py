@@ -4,8 +4,9 @@ The dense attention and block-forward routines here are written with plain
 loops and re-derived formulas; the monolithic pipeline runs every token at
 once with a single causal mask (no chunks, no eviction); the Lambda-mask
 pipeline runs every token at once under a dense mask built entry by entry
-from the chunk, sink and window rule; the naive allocator follows the budget
-loop literally with python sets and lists.
+from the chunk, sink and window rule; the serial block scorer walks every
+head's query rows together through one buffer, on one thread; the naive
+allocator follows the budget loop literally with python sets and lists.
 """
 
 from __future__ import annotations
@@ -15,7 +16,14 @@ import math
 import numpy as np
 
 from ctxpress.allocator import query_context_scores, reduce_scores
-from ctxpress.model import Weights, embed, layer_forward, project_keys, project_queries
+from ctxpress.model import (
+    Weights,
+    embed,
+    layer_forward,
+    project_keys,
+    project_queries,
+    softmax_rows,
+)
 
 
 def dense_softmax_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
@@ -107,6 +115,29 @@ def monolithic_pipeline_scores(weights: Weights, retrieval_layer: int,
     q_states = project_queries(weights, retrieval_layer, x[length:], positions[length:])
     attn = query_context_scores(q_states, k_ctx)
     return reduce_scores(attn, sink), k_ctx
+
+
+def serial_block_scores(query_states: np.ndarray, full_k: np.ndarray,
+                        score_block: int) -> np.ndarray:
+    """Query scoring as one serial loop over row blocks of all heads at once.
+
+    Uses the blocking rule of ``query_context_scores``: r = min(L_q, max(8,
+    score_block // (H*L))) rows of every head per (H, r, L) block, the
+    queries pre-scaled by 1/sqrt(d_h), and a running (L,) maximum.  Per-head
+    tasks and per-head maxima must reproduce its bits exactly.
+    """
+    heads, query_len, d_h = query_states.shape
+    length = full_k.shape[1]
+    keys_t = np.swapaxes(full_k, -1, -2)
+    query_states = query_states * (1.0 / math.sqrt(d_h))
+    rows = min(query_len, max(8, score_block // (heads * length)))
+    block = np.empty((heads, rows, length))
+    best = np.zeros(length)
+    for r0 in range(0, query_len, rows):
+        probs = block[:, :query_len - r0]
+        np.matmul(query_states[:, r0:r0 + rows], keys_t, out=probs)
+        np.maximum(best, softmax_rows(probs).max(axis=(0, 1)), out=best)
+    return best
 
 
 def lambda_mask(length: int, query_len: int, sink: int, window: int,

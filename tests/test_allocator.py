@@ -1,6 +1,10 @@
 """Scoring reduction and budgeted allocation against brute-force oracles."""
 
+import sys
+import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -18,8 +22,15 @@ from ctxpress.allocator import (
     reduce_scores,
 )
 from ctxpress.codec import TokenSeq
-from ctxpress.model import softmax_rows
-from reference import naive_allocate
+from ctxpress.model import ModelSpec, build_model, softmax_rows
+from ctxpress.pipeline import PipelineError, run_compress, synthetic_ids
+from ctxpress.prefill import StreamConfig
+from reference import naive_allocate, serial_block_scores
+
+#: the module pool, or on a one-CPU host a two-thread one, so the per-head
+#: tasks run on threads everywhere
+THREADS = allocator._POOL or ThreadPoolExecutor(2)
+POOLS = {"threads": THREADS, "inline": None}
 
 
 def _scores(values, origin=0):
@@ -137,13 +148,99 @@ def test_scoring_memory_stays_within_a_block():
     length = 32768
     q = gen.normal(size=(2, 256, 16))
     k = gen.normal(size=(2, length, 16))
-    tracemalloc.start()
+    for pool in POOLS.values():
+        tracemalloc.start()
+        try:
+            with mock.patch.object(allocator, "_POOL", pool):
+                query_context_scores(q, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * allocator.SCORE_BLOCK * 8 + 4 * length * 8
+
+
+@pytest.mark.parametrize("pool", POOLS)
+@settings(max_examples=60, deadline=None)
+@given(heads=st.integers(1, 4), half_d=st.integers(1, 8), query_len=st.integers(1, 100),
+       length=st.integers(1, 600), d_h_major=st.booleans(), seed=st.integers(0, 2 ** 31 - 1))
+def test_head_tasks_reproduce_the_serial_loop_bit_for_bit(pool, heads, half_d, query_len,
+                                                          length, d_h_major, seed):
+    # SCORE_BLOCK = 1 gives 8-row blocks and, for most L_q, a ragged tail
+    gen = _rng(seed)
+    d_h = 2 * half_d
+    q = gen.normal(size=(heads, query_len, d_h))
+    k = gen.normal(size=(heads, length, d_h))
+    if d_h_major:
+        k = np.swapaxes(np.ascontiguousarray(np.swapaxes(k, 1, 2)), 1, 2)
+    want = serial_block_scores(q, k, 1)
+    with mock.patch.object(allocator, "SCORE_BLOCK", 1), \
+            mock.patch.object(allocator, "_POOL", POOLS[pool]):
+        got = query_context_scores(q, k)
+    assert np.array_equal(got, want)
+
+
+def test_more_head_tasks_than_cores_under_fast_switching():
+    # eight threads on eight heads, each writing its own rows of the shared
+    # buffers; a task that wrote into another head's rows would change bits
+    gen = _rng(11)
+    q = gen.normal(size=(8, 40, 4))
+    k = gen.normal(size=(8, 300, 4))
+    want = serial_block_scores(q, k, 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
     try:
-        query_context_scores(q, k)
-        _, peak = tracemalloc.get_traced_memory()
+        with ThreadPoolExecutor(8) as pool, mock.patch.object(allocator, "SCORE_BLOCK", 1), \
+                mock.patch.object(allocator, "_POOL", pool):
+            for _ in range(20):
+                assert np.array_equal(query_context_scores(q, k), want)
     finally:
-        tracemalloc.stop()
-    assert peak < 2 * allocator.SCORE_BLOCK * 8 + 4 * length * 8
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("q_shape, k_shape", [((2, 3, 8), (3, 5, 8)), ((2, 3, 8), (1, 5, 8)),
+                                              ((2, 3, 8), (2, 5, 6)), ((2, 3, 8), (5, 8))])
+def test_scoring_rejects_mismatched_heads_or_d_h(q_shape, k_shape):
+    with pytest.raises(ValueError, match="do not match"):
+        query_context_scores(np.ones(q_shape), np.ones(k_shape))
+
+
+def test_failed_head_surfaces_after_every_head_finished():
+    # both heads meet on their first block, then head 0 raises while head 1
+    # still has four 20 ms blocks to go
+    weights = build_model(ModelSpec(dim=32, heads=2, layers=2, seed=3))
+    barrier = threading.Barrier(2, timeout=10)
+    lock = threading.Lock()
+    heads_seen = set()
+    state = {"running": 0, "done": 0}
+
+    def flaky(probs):
+        head = probs.ctypes.data  # every block of head h starts at block[h, 0]
+        with lock:
+            first = head not in heads_seen
+            heads_seen.add(head)
+        if first:
+            barrier.wait()
+            if head == min(heads_seen):
+                raise FloatingPointError("head 0 failed")
+        with lock:
+            state["running"] += 1
+        time.sleep(0.02)
+        with lock:
+            state["running"] -= 1
+            state["done"] += 1
+        return softmax_rows(probs)
+
+    context = synthetic_ids(600, weights.spec.vocab, 1)
+    query = synthetic_ids(32, weights.spec.vocab, 2)  # four 8-row blocks per head
+    with mock.patch.object(allocator, "SCORE_BLOCK", 1), \
+            mock.patch.object(allocator, "_POOL", THREADS), \
+            mock.patch.object(allocator, "softmax_rows", flaky), \
+            pytest.raises(PipelineError) as err:
+        run_compress(weights, StreamConfig(retrieval_layer=1), PoolingConfig(budget=64),
+                     context, query)
+    assert err.value.stage == "scoring"
+    assert isinstance(err.value.original, FloatingPointError)
+    assert state == {"running": 0, "done": 4}
 
 
 # --- pooled ranking ----------------------------------------------------------

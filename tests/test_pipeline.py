@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ctxpress import pipeline
+from ctxpress import pipeline, prefill
 from ctxpress.allocator import PoolingConfig, query_context_scores, reduce_scores
 from ctxpress.codec import TokenSeq
 from ctxpress.model import DimensionMismatch, ModelSpec, build_model
@@ -61,12 +61,24 @@ def test_empty_inputs_rejected(tiny_weights):
         run_compress(tiny_weights, StreamConfig(), PoolingConfig(), _seq(4), TokenSeq([]))
 
 
-def test_stage_name_surfaces_on_failure(tiny_weights):
+def test_stage_name_surfaces_on_failure(tiny_weights, monkeypatch):
+    def fail(*args):
+        raise FloatingPointError("overflow")
+
+    monkeypatch.setattr(prefill, "project_keys", fail)
     ctx, query = _seq(300), _seq(8, seed=2)
-    bad = StreamConfig(sink=4, window=64, chunk=64, retrieval_layer=99)
+    cfg = StreamConfig(sink=4, window=64, chunk=64, retrieval_layer=2)
     with pytest.raises(PipelineError) as err:
-        run_compress(tiny_weights, bad, PoolingConfig(budget=10), ctx, query)
+        run_compress(tiny_weights, cfg, PoolingConfig(budget=10), ctx, query)
     assert err.value.stage == "context-prefill"
+
+
+@pytest.mark.parametrize("length", [100, 3000])  # bypassed and compressed
+def test_bad_retrieval_layer_raises_value_error_bypass_or_not(tiny_weights, length):
+    cfg = StreamConfig(retrieval_layer=9)
+    with pytest.raises(ValueError, match="retrieval_layer 9") as err:
+        run_compress(tiny_weights, cfg, PoolingConfig(budget=1024), _seq(length), _seq(8, 2))
+    assert not isinstance(err.value, PipelineError)
 
 
 @pytest.mark.parametrize("bad_id", [-1, 32768])
