@@ -8,6 +8,14 @@ is seeded and reproducible so the whole stack can be checked against
 brute-force oracles.
 """
 
+import os
+
+# Before numpy loads, unless the caller chose otherwise: scoring runs one
+# thread per head, and a multi-threaded BLAS would compete with them for
+# the same cores.  Does nothing if numpy was imported first.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from ctxpress.codec import Span, TokenSeq, UnknownId, Vocab, decode, encode
 from ctxpress.model import (
     DimensionMismatch,

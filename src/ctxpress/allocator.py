@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -81,9 +81,8 @@ class AllocationResult:
 #: float64 entries in one block of query-row probabilities (8 MiB)
 SCORE_BLOCK = 1 << 20
 
+#: worker threads per scoring call, one head per task
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-#: scores one head per task; threads start at the first submit, none at import
-_POOL = ThreadPoolExecutor(_CPUS) if _CPUS > 1 else None
 
 
 def query_context_scores(
@@ -93,15 +92,13 @@ def query_context_scores(
 ) -> np.ndarray:
     """Per-position max over heads and query rows of the query-key softmax.
 
-    query_states: (H, L_q, d_h); full_k: (H, L, d_h), fastest as the
-    (H, L, d_h) view of a d_h-major buffer, whose transpose the gemms read
-    contiguously.  No causal restriction: the whole context precedes the
-    query.  Each head is one task on a pool of the usable CPUs (inline with
-    one CPU or one head); head h walks its query rows through ``block[h]``
-    of one (H, r, L) buffer, r = min(L_q, max(8, SCORE_BLOCK // (H*L))), and
-    keeps its running maxima in row h of an (H, L) array.  Each row's softmax
-    spans all L columns and max is exact, so the result does not depend on
-    the blocking or the threads.  Returns the (L,) maxima.
+    query_states: (H, L_q, d_h); full_k: (H, L, d_h).  No causal
+    restriction: the whole context precedes the query.  Each head is one
+    task on a pool of the usable CPUs; head h walks its query rows through
+    ``block[h]`` of one (H, r, L) buffer, r = min(L_q, max(8, SCORE_BLOCK //
+    (H*L))), and keeps its running maxima in row h of an (H, L) array.  Each
+    row's softmax spans all L columns and max is exact, so the result does
+    not depend on the blocking or the threads.  Returns the (L,) maxima.
     """
     heads, query_len, d_h = query_states.shape
     if full_k.ndim != 3 or full_k.shape[0] != heads or full_k.shape[2] != d_h:
@@ -128,15 +125,13 @@ def query_context_scores(
             np.maximum(probs[0], best[h], out=probs[0])
             np.max(probs, axis=0, out=best[h])
 
-    if _POOL is None or heads == 1:
-        for h in range(heads):
-            score_head(h)
-    else:
-        tasks = [_POOL.submit(score_head, h) for h in range(heads)]
-        # no task may still write into the buffers once an error propagates
-        wait(tasks)
-        for task in tasks:
-            task.result()
+    # one pool per call: leaving the block joins every task, so no task still
+    # writes into the buffers once an error propagates, and a forked child
+    # never inherits a pool whose threads it lacks
+    with ThreadPoolExecutor(_CPUS) as pool:
+        tasks = [pool.submit(score_head, h) for h in range(heads)]
+    for task in tasks:
+        task.result()
     return best.max(axis=0)
 
 

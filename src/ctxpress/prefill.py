@@ -5,7 +5,7 @@ layer below the retrieval layer, that layer's cached rows plus itself
 causally (a Lambda mask).  Between chunks each such layer keeps one (k, v)
 pair of at most ``sink + window`` rows, the sink first, then the window.
 The retrieval layer stores keys only, full length, in a preallocated
-d_h-major buffer.  Positions are absolute token indices throughout -- window
+buffer.  Positions are absolute token indices throughout -- window
 survivors keep the positions they were encoded with.
 """
 
@@ -59,9 +59,7 @@ class StreamCache:
     # one (k, v) pair per layer < retrieval_layer, each (H, rows, d_h):
     # the sink rows first, then the window rows in ascending position
     layers: list[tuple[np.ndarray, np.ndarray]]
-    # (H, L, d_h) keys at the retrieval layer, a view of an (H, d_h, L)
-    # buffer so that scoring reads each head's keys contiguously
-    full_k: np.ndarray
+    full_k: np.ndarray  # (H, L, d_h) keys at the retrieval layer
     cursor: int = 0
 
     def cache_cell_counts(self) -> tuple[int, int]:
@@ -161,7 +159,7 @@ def stream_prefill_context(
         length=length,
         sink_len=min(config.sink, length),
         layers=[(empty, empty)] * (lr - 1),
-        full_k=np.swapaxes(np.zeros((spec.heads, spec.head_dim, length)), 1, 2),
+        full_k=np.zeros((spec.heads, length, spec.head_dim)),
     )
     for start, end, x, positions in _prefill_chunks(
             weights, config, cache.layers, ids, 0, config.sink, cache.sink_len, counter):

@@ -205,14 +205,6 @@ def test_full_k_written_once_per_position(tiny_weights):
     assert not np.all(cache.full_k == 0.0, axis=(0, 2)).any()  # every row filled
 
 
-def test_full_k_is_stored_d_h_major(tiny_weights):
-    # scoring's gemms read np.swapaxes(full_k, 1, 2) without a transposed copy
-    cfg = StreamConfig(sink=2, window=8, chunk=8, retrieval_layer=2)
-    cache = stream_prefill_context(tiny_weights, cfg, _random_seq(50))
-    assert cache.full_k.shape == (2, 50, 16)
-    assert np.swapaxes(cache.full_k, 1, 2).flags.c_contiguous
-
-
 # --- Lambda-mask oracle -----------------------------------------------------
 
 @settings(max_examples=300, deadline=None)
