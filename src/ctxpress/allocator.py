@@ -14,8 +14,6 @@ All tie-breaks prefer the lower index, so results are reproducible.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -23,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ctxpress.codec import TokenSeq
-from ctxpress.model import OpCounter, softmax_rows
+from ctxpress.model import _CPUS, OpCounter, run_parts, softmax_rows
 
 
 class DegenerateContext(ValueError):
@@ -81,9 +79,6 @@ class AllocationResult:
 #: float64 entries in one block of query-row probabilities (8 MiB)
 SCORE_BLOCK = 1 << 20
 
-#: worker threads per scoring call, one head per task
-_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
 
 def query_context_scores(
     query_states: np.ndarray,
@@ -93,8 +88,9 @@ def query_context_scores(
     """Per-position max over heads and query rows of the query-key softmax.
 
     query_states: (H, L_q, d_h); full_k: (H, L, d_h).  No causal
-    restriction: the whole context precedes the query.  Each head is one
-    task on a pool of the usable CPUs; head h walks its query rows through
+    restriction: the whole context precedes the query.  The heads are
+    dealt round-robin to n = min(H, usable CPUs) threads, the caller's
+    among them (``run_parts``); head h walks its query rows through
     ``block[h]`` of one (H, r, L) buffer, r = min(L_q, max(8, SCORE_BLOCK //
     (H*L))), and keeps its running maxima in row h of an (H, L) array.  Each
     row's softmax spans all L columns and max is exact, so the result does
@@ -116,22 +112,19 @@ def query_context_scores(
     block = np.empty((heads, rows, length))
     best = np.zeros((heads, length))
 
-    def score_head(h: int) -> None:
-        for r0 in range(0, query_len, rows):
-            probs = block[h, :query_len - r0]
-            np.matmul(query_states[h, r0:r0 + rows], keys_t[h], out=probs)
-            softmax_rows(probs)
-            # fold the running maxima into the block, then reduce it into them
-            np.maximum(probs[0], best[h], out=probs[0])
-            np.max(probs, axis=0, out=best[h])
+    threads = min(heads, _CPUS)
 
-    # one pool per call: leaving the block joins every task, so no task still
-    # writes into the buffers once an error propagates, and a forked child
-    # never inherits a pool whose threads it lacks
-    with ThreadPoolExecutor(_CPUS) as pool:
-        tasks = [pool.submit(score_head, h) for h in range(heads)]
-    for task in tasks:
-        task.result()
+    def score_heads(first: int) -> None:
+        for h in range(first, heads, threads):
+            for r0 in range(0, query_len, rows):
+                probs = block[h, :query_len - r0]
+                np.matmul(query_states[h, r0:r0 + rows], keys_t[h], out=probs)
+                softmax_rows(probs)
+                # fold the running maxima into the block, then reduce it into them
+                np.maximum(probs[0], best[h], out=probs[0])
+                np.max(probs, axis=0, out=best[h])
+
+    run_parts(score_heads, threads)
     return best.max(axis=0)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,6 +84,25 @@ class Weights:
     layers: list[LayerWeights] = field(default_factory=list)
 
 
+#: usable CPUs, the thread count of query scoring and context prefill
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def run_parts(task, parts: int) -> list:
+    """``[task(0), ..., task(parts - 1)]``, part 0 on the calling thread and
+    the others on a thread pool made for this call; one part starts no
+    thread.  Every part has finished before this returns or raises the first
+    failure, so no thread still writes into shared buffers once an error
+    propagates, and a forked child never inherits a pool whose threads it
+    lacks.  Threads beyond the caller's each keep a malloc arena, so using
+    the caller saves one arena's worth of peak memory."""
+    # the pool starts a thread only on submit
+    with ThreadPoolExecutor(max(1, parts - 1)) as pool:
+        tasks = [pool.submit(task, i) for i in range(1, parts)]
+        first = task(0)
+    return [first, *(done.result() for done in tasks)]
+
+
 class OpCounter:
     """Tallies the query-key dot products that attention needs."""
 
@@ -131,8 +151,18 @@ def rms_norm(x: np.ndarray, gain: np.ndarray, eps: float = 1e-6) -> np.ndarray:
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    # tanh approximation, standard in decoder stacks
-    return 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * (x * x * x))))
+    # tanh approximation, standard in decoder stacks: 0.5 * x * (1 + tanh(
+    # sqrt(2/pi) * (x + 0.044715 * x^3))), the same operations in the same
+    # order, in one buffer instead of a temporary per step
+    y = x * x
+    y *= x
+    y *= 0.044715
+    y += x
+    y *= math.sqrt(2.0 / math.pi)
+    np.tanh(y, out=y)
+    y += 1.0
+    y *= 0.5 * x
+    return y
 
 
 def apply_position_encoding(vecs: np.ndarray, positions: np.ndarray, base: float = 10000.0) -> np.ndarray:
@@ -213,10 +243,16 @@ def masked_attention(
     # scaling the (H, T_q, d_h) queries once replaces a divide per score
     q = q * (1.0 / math.sqrt(q.shape[-1]))
     out = np.empty(q.shape)
+    heads = q.shape[0]
+    # every block's scores fill a contiguous prefix of one buffer, so no
+    # block is allocated while the previous one is still referenced
+    buffer = np.empty(max((heads * (r1 - r0) * cols for r0, r1, cols, _, _ in blocks),
+                          default=0))
     # rows r0:r1 score keys :cols; ``blocked`` marks the -inf entries of
     # columns diag: onward
     for r0, r1, cols, diag, blocked in blocks:
-        scores = np.matmul(q[:, r0:r1], np.swapaxes(k[:, :cols], -1, -2))
+        scores = buffer[:heads * (r1 - r0) * cols].reshape(heads, r1 - r0, cols)
+        np.matmul(q[:, r0:r1], np.swapaxes(k[:, :cols], -1, -2), out=scores)
         np.copyto(scores[..., diag:], -np.inf, where=blocked)
         np.matmul(softmax_rows(scores), v[:, :cols], out=out[:, r0:r1])
     if return_probs:

@@ -6,7 +6,9 @@ causally (a Lambda mask).  Between chunks each such layer keeps one (k, v)
 pair of at most ``sink + window`` rows, the sink first, then the window.
 The retrieval layer stores keys only, full length, in a preallocated
 buffer.  Positions are absolute token indices throughout -- window
-survivors keep the positions they were encoded with.
+survivors keep the positions they were encoded with.  Context prefill
+splits a long context into up to one segment of chunks per usable CPU and
+walks them on threads, bit for bit as one serial walk would.
 """
 
 from __future__ import annotations
@@ -17,12 +19,14 @@ import numpy as np
 
 from ctxpress.codec import TokenSeq
 from ctxpress.model import (
+    _CPUS,
     OpCounter,
     Weights,
     embed,
     layer_forward,
     project_keys,
     project_queries,
+    run_parts,
 )
 
 
@@ -103,36 +107,46 @@ def _prefill_chunks(
     layers: list[tuple[np.ndarray, np.ndarray]],
     ids: np.ndarray,
     offset: int,
-    sink: int,
+    walk: list[tuple[int, int]],
+    owned: int,
     sink_len: int,
     counter: OpCounter | None,
 ):
     """The one chunk step of context and query prefill.
 
-    Embeds each chunk of ``ids`` (the first is ``chunk + sink`` tokens, the
-    rest ``chunk``), runs it through layers 1..l_R-1 against each layer's
-    cached rows, and yields ``(start, end, x, positions)`` with ``x`` the
-    chunk's input to the retrieval layer and ``start:end`` indexing ``ids``.
-    Each entry of ``layers`` is rebound to the attended rows, trimmed to the
-    first ``sink_len`` and the last ``window`` rows; no array is mutated.
-    ``counter`` gains the Lambda mask's dot products, ``cached*T + T(T+1)/2``
-    per chunk of T tokens and lower layer.
+    Embeds each ``(start, end)`` chunk of ``ids`` in ``walk`` (ascending;
+    see ``_chunk_bounds``), runs it through layers 1..l_R-1 against each
+    layer's cached rows, and, for the chunks from ``walk[owned]`` on, yields
+    ``(start, end, x, positions)`` with ``x`` the chunk's input to the
+    retrieval layer.  Each entry of ``layers`` is rebound to the attended
+    rows, trimmed to the first ``sink_len`` and the last ``window`` rows; no
+    array is mutated.  ``counter`` gains the Lambda mask's dot products of
+    the yielded chunks, ``cached*T + T(T+1)/2`` per chunk of T tokens and
+    lower layer.
     """
     keep = sink_len + config.window
-    for start, end in _chunk_bounds(len(ids), config.chunk, sink):
+    for step, (start, end) in enumerate(walk):
         t = end - start
         positions = np.arange(offset + start, offset + end, dtype=np.int64)
         x = embed(weights, ids[start:end])
         for i, (k, v) in enumerate(layers):
             cached = k.shape[1]
-            if counter is not None:
+            if counter is not None and step >= owned:
                 counter.add(cached * t + t * (t + 1) // 2)
             x, k, v = layer_forward(weights, i + 1, x, positions, None, cache_k=k, cache_v=v)
             if k.shape[1] > keep:
                 k = np.concatenate([k[:, :sink_len], k[:, -config.window:]], axis=1)
                 v = np.concatenate([v[:, :sink_len], v[:, -config.window:]], axis=1)
             layers[i] = (k, v)
-        yield start, end, x, positions
+        if step >= owned:
+            yield start, end, x, positions
+
+
+def _segment_count(chunks: int, warm: int) -> int:
+    """Segments of a context prefill of ``chunks`` chunks: one per usable
+    CPU, each owning at least four times the ``warm + 1`` chunks a segment
+    walks without owning them."""
+    return max(1, min(_CPUS, chunks // (4 * (warm + 1))))
 
 
 def stream_prefill_context(
@@ -146,6 +160,24 @@ def stream_prefill_context(
 
     Hidden states above the retrieval layer are never computed.  If the
     context is shorter than the sink, the whole context becomes the sink.
+
+    The chunks are split into contiguous segments (``_segment_count``), run
+    by ``run_parts``: segment 0 on the calling thread, the others on a
+    thread pool made for this call; one segment starts no thread.  Each segment's result
+    is bit for bit the serial walk's, because a lower layer's cache at a
+    chunk boundary is rebuilt exactly from a few chunks before it.  The
+    cache holds the sink rows, which only chunk 0 writes, and the last
+    ``window`` rows.  Layer-1 keys and values of a chunk depend on that
+    chunk's tokens alone, so after m = ceil(window / chunk) chunks the
+    layer-1 cache holds the serial walk's rows, the chunks after them get
+    exact layer-1 outputs, and each further lower layer is exact m chunks
+    later.  A segment that owns chunks a.. therefore walks chunk 0, then
+    the warm = (l_R - 1) * m chunks before a (straight on from chunk 0 when
+    a - warm <= 1), and from chunk a on computes the serial walk's
+    ``full_k`` rows and caches with the same shapes and bits.  Each segment
+    writes its own rows of ``full_k`` and counts only the chunks it owns;
+    the cache keeps the last segment's layers.  A failing segment raises
+    once every segment has finished.
     """
     spec = weights.spec
     config.validate(spec.layers)
@@ -154,18 +186,29 @@ def stream_prefill_context(
     if length < 1:
         raise ValueError("context must contain at least one token")
     lr = config.retrieval_layer
-    empty = np.zeros((spec.heads, 0, spec.head_dim))
-    cache = StreamCache(
-        length=length,
-        sink_len=min(config.sink, length),
-        layers=[(empty, empty)] * (lr - 1),
-        full_k=np.zeros((spec.heads, length, spec.head_dim)),
-    )
-    for start, end, x, positions in _prefill_chunks(
-            weights, config, cache.layers, ids, 0, config.sink, cache.sink_len, counter):
-        cache.full_k[:, start:end] = project_keys(weights, lr, x, positions)
-        cache.cursor = end
-    return cache
+    sink_len = min(config.sink, length)
+    full_k = np.zeros((spec.heads, length, spec.head_dim))
+    bounds = _chunk_bounds(length, config.chunk, config.sink)
+    warm = (lr - 1) * -(-config.window // config.chunk)
+    segments = _segment_count(len(bounds), warm)
+    cuts = [s * len(bounds) // segments for s in range(segments + 1)]
+
+    def run_segment(s: int) -> tuple[list[tuple[np.ndarray, np.ndarray]], int]:
+        a, b = cuts[s], cuts[s + 1]
+        walk = [bounds[0], *bounds[max(1, a - warm):b]]
+        empty = np.zeros((spec.heads, 0, spec.head_dim))
+        layers = [(empty, empty)] * (lr - 1)
+        own = OpCounter()
+        for start, end, x, positions in _prefill_chunks(
+                weights, config, layers, ids, 0, walk, len(walk) - (b - a), sink_len, own):
+            full_k[:, start:end] = project_keys(weights, lr, x, positions)
+        return layers, own.dot_products
+
+    results = run_parts(run_segment, segments)
+    if counter is not None:
+        counter.add(sum(dots for _, dots in results))
+    return StreamCache(length=length, sink_len=sink_len, layers=results[-1][0],
+                       full_k=full_k, cursor=length)
 
 
 def prefill_query_part(
@@ -191,6 +234,6 @@ def prefill_query_part(
     lr = config.retrieval_layer
     states = [project_queries(weights, lr, x, positions)
               for _, _, x, positions in _prefill_chunks(
-                  weights, config, list(cache.layers), ids, cache.length, 0, cache.sink_len,
-                  counter)]
+                  weights, config, list(cache.layers), ids, cache.length,
+                  _chunk_bounds(len(ids), config.chunk, 0), 0, cache.sink_len, counter)]
     return np.concatenate(states, axis=1)

@@ -6,7 +6,8 @@ once with a single causal mask (no chunks, no eviction); the Lambda-mask
 pipeline runs every token at once under a dense mask built entry by entry
 from the chunk, sink and window rule; the serial block scorer walks every
 head's query rows together through one buffer, on one thread; the naive
-allocator follows the budget loop literally with python sets and lists.
+allocator follows the budget loop literally with python sets and lists; the
+serial prefill walks every context chunk in order on one thread.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 from ctxpress.allocator import query_context_scores, reduce_scores
 from ctxpress.model import (
+    OpCounter,
     Weights,
     embed,
     layer_forward,
@@ -188,6 +190,42 @@ def lambda_mask_pipeline(weights: Weights, retrieval_layer: int, ctx_ids: list[i
     k_ctx = project_keys(weights, retrieval_layer, x[:length], positions[:length])
     q_states = project_queries(weights, retrieval_layer, x[length:], positions[length:])
     return k_ctx, q_states
+
+
+def serial_prefill(weights: Weights, ids: list[int], sink: int, window: int, chunk: int,
+                   retrieval_layer: int):
+    """Context prefill as one walk over every chunk in order, on one thread.
+
+    Chunks are ``chunk + sink`` tokens, then ``chunk``.  Each lower layer's
+    (k, v) rows after a chunk are the first min(sink, L) and the last
+    ``window`` of the rows it attended.  Returns (keys at the retrieval
+    layer, the final list of lower-layer pairs, the Lambda mask's dot
+    products), which segmented prefill must reproduce bit for bit.
+    """
+    spec = weights.spec
+    ids = np.asarray(ids, dtype=np.int64)
+    length = len(ids)
+    sink_len = min(sink, length)
+    full_k = np.zeros((spec.heads, length, spec.head_dim))
+    empty = np.zeros((spec.heads, 0, spec.head_dim))
+    layers = [(empty, empty)] * (retrieval_layer - 1)
+    counter = OpCounter()
+    start = 0
+    while start < length:
+        end = min(length, start + chunk + (sink if start == 0 else 0))
+        t = end - start
+        positions = np.arange(start, end, dtype=np.int64)
+        x = embed(weights, ids[start:end])
+        for i, (k, v) in enumerate(layers):
+            counter.add(k.shape[1] * t + t * (t + 1) // 2)
+            x, k, v = layer_forward(weights, i + 1, x, positions, None, cache_k=k, cache_v=v)
+            if k.shape[1] > sink_len + window:
+                k = np.concatenate([k[:, :sink_len], k[:, k.shape[1] - window:]], axis=1)
+                v = np.concatenate([v[:, :sink_len], v[:, v.shape[1] - window:]], axis=1)
+            layers[i] = (k, v)
+        full_k[:, start:end] = project_keys(weights, retrieval_layer, x, positions)
+        start = end
+    return full_k, layers, counter.dot_products
 
 
 def naive_max_pool(values: list[float], size: int) -> list[float]:

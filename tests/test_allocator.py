@@ -155,20 +155,22 @@ def test_scoring_memory_stays_within_a_block():
 
 @settings(max_examples=60, deadline=None)
 @given(heads=st.integers(1, 8), half_d=st.integers(1, 8), query_len=st.integers(1, 100),
-       length=st.integers(1, 600), seed=st.integers(0, 2 ** 31 - 1))
-@example(heads=8, half_d=2, query_len=40, length=300, seed=11)
+       length=st.integers(1, 600), seed=st.integers(0, 2 ** 31 - 1), cpus=st.integers(1, 8))
+@example(heads=8, half_d=2, query_len=40, length=300, seed=11, cpus=8)
+@example(heads=5, half_d=2, query_len=40, length=300, seed=11, cpus=2)
 def test_head_tasks_reproduce_the_serial_loop_bit_for_bit(heads, half_d, query_len, length,
-                                                          seed):
+                                                          seed, cpus):
     # SCORE_BLOCK = 1 gives 8-row blocks and, for most L_q, a ragged tail;
-    # one thread per head, so a task that wrote into another head's rows of
-    # the shared buffers would change bits
+    # min(heads, cpus) threads share the heads round-robin, so a thread that
+    # skipped a head or wrote into another head's rows of the shared buffers
+    # would change bits
     gen = _rng(seed)
     d_h = 2 * half_d
     q = gen.normal(size=(heads, query_len, d_h))
     k = gen.normal(size=(heads, length, d_h))
     want = serial_block_scores(q, k, 1)
     with mock.patch.object(allocator, "SCORE_BLOCK", 1), \
-            mock.patch.object(allocator, "_CPUS", heads):
+            mock.patch.object(allocator, "_CPUS", cpus):
         got = query_context_scores(q, k)
     assert np.array_equal(got, want)
 

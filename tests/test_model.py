@@ -1,5 +1,7 @@
 """Model core: seeded weights, rotary encoding, masked attention, block step."""
 
+import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ from ctxpress.model import (
     apply_position_encoding,
     build_model,
     embed,
+    gelu,
     layer_forward,
     load_weights,
     masked_attention,
@@ -178,6 +181,20 @@ def test_lambda_kernel_matches_loop_oracle(heads, half_dim, cached, new, seed):
     assert np.abs(got - want).max() < 1e-12
 
 
+def test_lambda_kernel_keeps_one_score_block(rng):
+    # every row block's scores reuse one (H, ROW_BLOCK, T_k) buffer; a block
+    # allocated while the previous one is still referenced would add another
+    q = rng.normal(size=(2, 512, 16))
+    k = rng.normal(size=(2, 1028, 16))
+    tracemalloc.start()
+    try:
+        masked_attention(q, k, k, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * q.nbytes + 2 * ROW_BLOCK * 1028 * 8 + 256 * 1024
+
+
 def test_lambda_kernel_rejects_fewer_keys_than_queries(rng):
     q = rng.normal(size=(1, 3, 4))
     kv = rng.normal(size=(1, 2, 4))
@@ -186,6 +203,23 @@ def test_lambda_kernel_rejects_fewer_keys_than_queries(rng):
 
 
 # --- layer forward ----------------------------------------------------------
+
+def test_gelu_is_the_tanh_expression_bit_for_bit(rng):
+    # the in-place steps are the expression's operations in its order, so
+    # no value may move, not even where tanh saturates or x is not finite
+    x = np.concatenate([rng.normal(scale=scale, size=4099) for scale in (1e-3, 1.0, 30.0)]
+                       + [np.array([0.0, -0.0, 1e-310, -1e-310, 1e200, -1e200,
+                                    np.inf, -np.inf, np.nan])])
+    saved = x.copy()
+    for shape in ((len(x),), (3, len(x) // 3), (len(x) // 2, 2)):
+        x = x.reshape(shape)
+        with np.errstate(all="ignore"):
+            want = 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi)
+                                            * (x + 0.044715 * (x * x * x))))
+            got = gelu(x)
+        assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(x.ravel(), saved, equal_nan=True)  # the input is left as it was
+
 
 def test_zero_length_input(tiny_weights):
     out, k, v = layer_forward(tiny_weights, 1, np.zeros((0, 32)), np.zeros(0, dtype=int),

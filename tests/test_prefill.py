@@ -1,8 +1,15 @@
-"""Streaming prefill: lambda masks, eviction, full-key equivalence, counting."""
+"""Streaming prefill: lambda masks, eviction, full-key equivalence, counting,
+segments on threads."""
+
+import multiprocessing
+import os
+import threading
+import time
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ctxpress import model, prefill
 from ctxpress.allocator import query_context_scores
@@ -15,7 +22,12 @@ from ctxpress.prefill import (
     prefill_query_part,
     stream_prefill_context,
 )
-from reference import lambda_mask, lambda_mask_pipeline, monolithic_pipeline_scores
+from reference import (
+    lambda_mask,
+    lambda_mask_pipeline,
+    monolithic_pipeline_scores,
+    serial_prefill,
+)
 
 
 def _random_seq(n, seed=3, vocab=32768):
@@ -226,3 +238,105 @@ def test_streaming_matches_dense_lambda_mask(tiny_weights, sink, window, chunk, 
     assert np.abs(states - q_ref).max() < 1e-5
     scores = query_context_scores(states, cache.full_k)
     assert np.abs(scores - query_context_scores(q_ref, k_ref)).max() < 1e-5
+
+
+# --- segments on threads ----------------------------------------------------
+
+@settings(max_examples=120, deadline=None)
+@given(sink=st.integers(0, 6), window=st.integers(1, 40), chunk=st.integers(1, 24),
+       lr=st.integers(1, 4), length=st.integers(1, 150), cpus=st.integers(2, 4))
+@example(sink=2, window=4, chunk=8, lr=2, length=27, cpus=2)  # a - warm = 1
+@example(sink=4, window=20, chunk=6, lr=3, length=120, cpus=3)  # window > chunk
+@example(sink=0, window=5, chunk=4, lr=4, length=100, cpus=4)  # no sink
+def test_segments_reproduce_the_serial_walk_bit_for_bit(tiny_weights, sink, window, chunk, lr,
+                                                        length, cpus):
+    # segments as small as one chunk, each on its own thread; a warm-up one
+    # window short, or a segment writing another's rows, would change bits
+    ids = _random_seq(length).ids
+    cfg = StreamConfig(sink=sink, window=window, chunk=chunk, retrieval_layer=lr)
+    segments = min(cpus, len(prefill._chunk_bounds(length, chunk, sink)))
+    threads = set()
+    project_keys = prefill.project_keys
+
+    def on_thread(*args):
+        threads.add(threading.get_ident())
+        return project_keys(*args)
+
+    counter = OpCounter()
+    with mock.patch.object(prefill, "_segment_count", lambda chunks, warm: min(cpus, chunks)), \
+            mock.patch.object(prefill, "project_keys", on_thread):
+        cache = stream_prefill_context(tiny_weights, cfg, TokenSeq(ids), counter=counter)
+    full_k, layers, dots = serial_prefill(tiny_weights, ids, sink, window, chunk, lr)
+    assert (len(threads) > 1) == (segments > 1)  # segments past the first ran off the caller
+    assert np.array_equal(cache.full_k, full_k)
+    assert len(cache.layers) == len(layers)
+    for (k, v), (k_ref, v_ref) in zip(cache.layers, layers):
+        assert np.array_equal(k, k_ref) and np.array_equal(v, v_ref)
+    assert counter.dot_products == dots
+
+
+@pytest.mark.parametrize("lr", [1, 2, 3, 4])
+def test_one_segment_starts_no_thread(tiny_weights, monkeypatch, lr):
+    # needle-grid's prefill: 2,000 tokens in two default chunks, too few to
+    # split on any number of CPUs, so it all runs on the calling thread
+    def no_thread(self):
+        raise AssertionError("a one-segment prefill started a thread")
+
+    monkeypatch.setattr(prefill, "_CPUS", 4)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    cache = stream_prefill_context(tiny_weights, StreamConfig(retrieval_layer=lr),
+                                   _random_seq(2000))
+    assert cache.cursor == 2000
+
+
+def test_segment_count():
+    with mock.patch.object(prefill, "_CPUS", 2):
+        # stream-64k: 128 chunks of 512, window 512, l_R = 2, so warm = 1
+        assert prefill._segment_count(128, 1) == 2
+        assert prefill._segment_count(15, 1) == 1  # 8 owned per 2 walked
+        assert prefill._segment_count(16, 1) == 2
+        assert prefill._segment_count(1, 0) == 1
+
+
+def test_failed_segment_surfaces_after_every_segment_finished(tiny_weights):
+    # 17 chunks with warm = 1 make two segments; segment 0 fails on its
+    # first chunk while segment 1 still has nine slowed chunks to go
+    cfg = StreamConfig(sink=4, window=8, chunk=16, retrieval_layer=2)
+    caller = threading.get_ident()
+    project_keys, done = prefill.project_keys, []
+
+    def flaky(*args):
+        if threading.get_ident() == caller:
+            raise FloatingPointError("segment 0 failed")
+        time.sleep(0.005)
+        done.append(args[3][0])
+        return project_keys(*args)
+
+    with mock.patch.object(prefill, "_CPUS", 2), \
+            mock.patch.object(prefill, "project_keys", flaky), \
+            pytest.raises(FloatingPointError):
+        stream_prefill_context(tiny_weights, cfg, _random_seq(4 + 16 * 17))
+    assert done == [20 + 16 * i for i in range(7, 16)]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_segmented_prefill_in_a_child_forked_after_prefill(tiny_weights):
+    # every prefill makes and joins its own pool, so a child forked after
+    # one never inherits a pool whose threads it lacks
+    cfg = StreamConfig(sink=4, window=8, chunk=16, retrieval_layer=3)
+    ctx = _random_seq(4 + 16 * 30)  # 30 chunks, warm = 2: two segments
+    with mock.patch.object(prefill, "_CPUS", 2):
+        want = stream_prefill_context(tiny_weights, cfg, ctx).full_k
+
+        def child():
+            got = stream_prefill_context(tiny_weights, cfg, ctx).full_k
+            os._exit(0 if np.array_equal(got, want) else 1)
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(timeout=30)
+    if proc.is_alive():
+        proc.kill()
+        proc.join()
+        pytest.fail("prefill hung in the forked child")
+    assert proc.exitcode == 0
