@@ -20,8 +20,9 @@ from typing import Iterator
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ctxpress import model
 from ctxpress.codec import TokenSeq
-from ctxpress.model import _CPUS, OpCounter, run_parts, softmax_rows
+from ctxpress.model import OpCounter, run_parts, softmax_rows
 
 
 class DegenerateContext(ValueError):
@@ -112,7 +113,7 @@ def query_context_scores(
     block = np.empty((heads, rows, length))
     best = np.zeros((heads, length))
 
-    threads = min(heads, _CPUS)
+    threads = min(heads, model._CPUS)
 
     def score_heads(first: int) -> None:
         for h in range(first, heads, threads):
@@ -151,8 +152,9 @@ def pooled_ranking(
     m: int,
     n: int,
     max_windows: int | None = None,
-) -> Iterator[int]:
-    """Stream absolute candidate indices for one (max m, avg n) combination.
+) -> Iterator[np.ndarray]:
+    """Stream the ranked windows of one (max m, avg n) combination, each as
+    one int64 array of its absolute context indices.
 
     ``pooled`` is ``_max_pool(scores.values, m)``, computed once by the
     caller for every avg kernel.  Windows are ranked in pooled space by
@@ -173,8 +175,21 @@ def pooled_ranking(
     for a in order[np.argsort(-avgs[order], kind="stable")][:max_windows]:
         lo = int(a) * m
         hi = min((int(a) + n_eff) * m, len(values))
-        for off in range(lo, hi):
-            yield off + scores.origin
+        yield np.arange(lo + scores.origin, hi + scores.origin, dtype=np.int64)
+
+
+def _take(windows: Iterator[np.ndarray], free: np.ndarray, need: int) -> int:
+    """Take the first ``need`` indices still ``free`` from the ranked
+    ``windows``, in stream order, and clear them in ``free``; returns how
+    many were taken (fewer if the windows run out)."""
+    taken = 0
+    for win in windows:
+        new = win[free[win]][:need - taken]
+        free[new] = False
+        taken += len(new)
+        if taken >= need:
+            break
+    return taken
 
 
 def context_allocate(
@@ -187,8 +202,9 @@ def context_allocate(
 
     The sink is always kept.  Each combination receives floor(B/N) indices
     (the first B mod N combinations one extra, in loop order: max kernels
-    outer, avg kernels inner) and consumes its ranked stream skipping indices
-    already taken.  A combination falls short when its ``B // m + 1`` window
+    outer, avg kernels inner) and takes them from its ranked windows,
+    skipping indices already taken (a boolean ``free`` mask over the
+    context).  A combination falls short when its ``B // m + 1`` window
     cap lets through fewer new indices than its quota, e.g. when the top
     window is a short trailing bucket; a final pass over the plain (1, 1)
     ranking then tops up the shortfall so |indices| == min(sink + B, L).
@@ -204,7 +220,9 @@ def context_allocate(
     if target >= length:
         indices = list(range(length))
     else:
-        allocated = set(range(sink_count))
+        free = np.ones(length, dtype=bool)
+        free[:sink_count] = False
+        kept = sink_count
         base, extra = divmod(cfg.budget, len(cfg.max_kernels) * len(cfg.avg_kernels))
         combo = 0
         for m in cfg.max_kernels:
@@ -213,23 +231,14 @@ def context_allocate(
             for n in cfg.avg_kernels:
                 quota = base + (1 if combo < extra else 0)
                 combo += 1
-                if quota == 0:
-                    continue
-                taken = 0
-                for cand in pooled_ranking(scores, pooled, m, n, max_windows=cap):
-                    if taken >= quota:
-                        break
-                    if cand not in allocated:
-                        allocated.add(cand)
-                        taken += 1
-        if len(allocated) < target:
+                if quota > 0:
+                    kept += _take(pooled_ranking(scores, pooled, m, n, max_windows=cap),
+                                  free, quota)
+        if kept < target:
             used_fallback = True
             # a size-1 max pool is the score vector itself
-            for cand in pooled_ranking(scores, scores.values, 1, 1):
-                if len(allocated) >= target:
-                    break
-                allocated.add(cand)
-        indices = sorted(allocated)
+            kept += _take(pooled_ranking(scores, scores.values, 1, 1), free, target - kept)
+        indices = np.flatnonzero(~free).tolist()
     assert len(indices) == target, f"allocated {len(indices)} != target {target}"
     compressed = TokenSeq([context.ids[i] for i in indices])
     return AllocationResult(indices=indices, compressed=compressed,

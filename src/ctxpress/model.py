@@ -12,8 +12,11 @@ from __future__ import annotations
 import math
 import os
 import struct
+import threading
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -84,22 +87,46 @@ class Weights:
     layers: list[LayerWeights] = field(default_factory=list)
 
 
-#: usable CPUs, the thread count of query scoring and context prefill
+#: usable CPUs, the thread count of query scoring, context prefill and Λ
+#: attention; read at call time, so one rebinding reaches every caller
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+#: ``in_part`` is true on a thread while it runs a part of a multi-part call
+_PARTS = threading.local()
+
+
+def _free_cpus() -> int:
+    """CPUs that a multi-part call made on this thread can use: only its
+    own inside a part of a multi-part call, whose parts hold the others."""
+    return 1 if getattr(_PARTS, "in_part", False) else _CPUS
 
 
 def run_parts(task, parts: int) -> list:
     """``[task(0), ..., task(parts - 1)]``, part 0 on the calling thread and
     the others on a thread pool made for this call; one part starts no
-    thread.  Every part has finished before this returns or raises the first
-    failure, so no thread still writes into shared buffers once an error
-    propagates, and a forked child never inherits a pool whose threads it
-    lacks.  Threads beyond the caller's each keep a malloc arena, so using
-    the caller saves one arena's worth of peak memory."""
+    thread.  A call made from inside a part of a multi-part call runs its
+    parts inline, one after another, since the outer parts already hold the
+    cores: segmented prefill's attention stays on its segment's thread,
+    while a one-segment prefill's attention gets the cores.  Every part has
+    finished before this returns or raises the first failure, so no thread
+    still writes into shared buffers once an error propagates, and a forked
+    child never inherits a pool whose threads it lacks.  Threads beyond the
+    caller's each keep a malloc arena, so using the caller saves one
+    arena's worth of peak memory."""
+    if parts <= 1 or getattr(_PARTS, "in_part", False):
+        return [task(i) for i in range(parts)]
+
+    def part(i: int):
+        _PARTS.in_part = True
+        try:
+            return task(i)
+        finally:
+            _PARTS.in_part = False
+
     # the pool starts a thread only on submit
-    with ThreadPoolExecutor(max(1, parts - 1)) as pool:
-        tasks = [pool.submit(task, i) for i in range(1, parts)]
-        first = task(0)
+    with ThreadPoolExecutor(parts - 1) as pool:
+        tasks = [pool.submit(part, i) for i in range(1, parts)]
+        first = part(0)
     return [first, *(done.result() for done in tasks)]
 
 
@@ -205,6 +232,19 @@ def softmax_rows(scores: np.ndarray) -> np.ndarray:
     return scores
 
 
+def _balanced_cuts(costs: list[int], parts: int) -> list[int]:
+    """Bounds ``[0, c_1, ..., len(costs)]`` of ``parts`` contiguous, non-empty
+    runs of ``costs`` (``parts <= len(costs)``) with near-equal sums: a run
+    ends before the first item whose midpoint passes its share of the total."""
+    ends = list(accumulate(costs))
+    mids = [end - cost / 2 for end, cost in zip(ends, costs)]
+    cuts = [0]
+    for g in range(1, parts):
+        first = bisect_right(mids, ends[-1] * g / parts)
+        cuts.append(min(max(first, cuts[-1] + 1), len(costs) - parts + g))
+    return [*cuts, len(costs)]
+
+
 def masked_attention(
     q: np.ndarray,
     k: np.ndarray,
@@ -220,7 +260,14 @@ def masked_attention(
     Disallowed columns are -inf before the softmax.  A dense mask is one
     block of all rows.  The Lambda mask is walked in ``ROW_BLOCK``-row
     blocks, each scoring only the columns up to its last row's diagonal, so
-    neither a dense mask nor an (H, T_q, T_k) score tensor is built.
+    neither a dense mask nor an (H, T_q, T_k) score tensor is built.  The
+    blocks are dealt to min(usable CPUs, blocks) contiguous groups of
+    near-equal rows x columns (plus a fixed cost per block) and run by
+    ``run_parts``; called from inside a part, as in segmented prefill, they
+    make one group on that part's thread.  Each group scores its blocks
+    through one buffer of its own and writes only its own rows of the
+    output, and every block does the same operations on any number of
+    groups, so the result does not depend on the grouping.
     Raises EmptyRow if a dense mask row allows nothing.  ``return_probs``
     (dense mask only) also returns the (H, T_q, T_k) probabilities.
     """
@@ -244,17 +291,28 @@ def masked_attention(
     q = q * (1.0 / math.sqrt(q.shape[-1]))
     out = np.empty(q.shape)
     heads = q.shape[0]
-    # every block's scores fill a contiguous prefix of one buffer, so no
-    # block is allocated while the previous one is still referenced
-    buffer = np.empty(max((heads * (r1 - r0) * cols for r0, r1, cols, _, _ in blocks),
-                          default=0))
-    # rows r0:r1 score keys :cols; ``blocked`` marks the -inf entries of
-    # columns diag: onward
-    for r0, r1, cols, diag, blocked in blocks:
-        scores = buffer[:heads * (r1 - r0) * cols].reshape(heads, r1 - r0, cols)
-        np.matmul(q[:, r0:r1], np.swapaxes(k[:, :cols], -1, -2), out=scores)
-        np.copyto(scores[..., diag:], -np.inf, where=blocked)
-        np.matmul(softmax_rows(scores), v[:, :cols], out=out[:, r0:r1])
+    areas = [(r1 - r0) * cols for r0, r1, cols, _, _ in blocks]
+    # a block also costs about one ROW_BLOCK x ROW_BLOCK tile in fixed
+    # per-call work, which the many narrow blocks of a first chunk add up
+    cuts = _balanced_cuts([area + ROW_BLOCK * ROW_BLOCK for area in areas],
+                          min(_free_cpus(), len(blocks)))
+    # a group's blocks fill a contiguous prefix of its one buffer, so no
+    # block is allocated while the previous one is still referenced; the
+    # caller allocates them all, so no buffer is made on a pool thread
+    buffers = [np.empty(heads * max(areas[a:b], default=0)) for a, b in zip(cuts, cuts[1:])]
+
+    def run_group(g: int) -> np.ndarray | None:
+        # rows r0:r1 score keys :cols; ``blocked`` marks the -inf entries of
+        # columns diag: onward
+        scores = None
+        for r0, r1, cols, diag, blocked in blocks[cuts[g]:cuts[g + 1]]:
+            scores = buffers[g][:heads * (r1 - r0) * cols].reshape(heads, r1 - r0, cols)
+            np.matmul(q[:, r0:r1], np.swapaxes(k[:, :cols], -1, -2), out=scores)
+            np.copyto(scores[..., diag:], -np.inf, where=blocked)
+            np.matmul(softmax_rows(scores), v[:, :cols], out=out[:, r0:r1])
+        return scores
+
+    scores = run_parts(run_group, len(buffers))[-1]
     if return_probs:
         return out, scores
     return out

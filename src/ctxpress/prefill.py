@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ctxpress import model
 from ctxpress.codec import TokenSeq
 from ctxpress.model import (
-    _CPUS,
     OpCounter,
     Weights,
     embed,
@@ -64,13 +64,12 @@ class StreamCache:
     # the sink rows first, then the window rows in ascending position
     layers: list[tuple[np.ndarray, np.ndarray]]
     full_k: np.ndarray  # (H, L, d_h) keys at the retrieval layer
-    cursor: int = 0
 
     def cache_cell_counts(self) -> tuple[int, int]:
         """(key+value cells in layers below, key cells at the retrieval layer),
         counted per head."""
         low = sum(2 * k.shape[1] for k, _ in self.layers)
-        return low, self.cursor
+        return low, self.length
 
 
 def build_lambda_mask(chunk_len: int, cached: int) -> np.ndarray:
@@ -146,7 +145,7 @@ def _segment_count(chunks: int, warm: int) -> int:
     """Segments of a context prefill of ``chunks`` chunks: one per usable
     CPU, each owning at least four times the ``warm + 1`` chunks a segment
     walks without owning them."""
-    return max(1, min(_CPUS, chunks // (4 * (warm + 1))))
+    return max(1, min(model._CPUS, chunks // (4 * (warm + 1))))
 
 
 def stream_prefill_context(
@@ -163,15 +162,19 @@ def stream_prefill_context(
 
     The chunks are split into contiguous segments (``_segment_count``), run
     by ``run_parts``: segment 0 on the calling thread, the others on a
-    thread pool made for this call; one segment starts no thread.  Each segment's result
-    is bit for bit the serial walk's, because a lower layer's cache at a
-    chunk boundary is rebuilt exactly from a few chunks before it.  The
-    cache holds the sink rows, which only chunk 0 writes, and the last
-    ``window`` rows.  Layer-1 keys and values of a chunk depend on that
-    chunk's tokens alone, so after m = ceil(window / chunk) chunks the
-    layer-1 cache holds the serial walk's rows, the chunks after them get
-    exact layer-1 outputs, and each further lower layer is exact m chunks
-    later.  A segment that owns chunks a.. therefore walks chunk 0, then
+    thread pool made for this call.  With several segments each chunk's
+    attention runs inline on its segment's thread; one segment (a short
+    context) walks its chunks on the calling thread and leaves the cores to
+    its attention's row-block groups (``masked_attention``), while the
+    chunk walk and every key projection stay on the caller.  Each
+    segment's result is bit for bit the serial walk's, because a lower
+    layer's cache at a chunk boundary is rebuilt exactly from a few chunks
+    before it.  The cache holds the sink rows, which only chunk 0 writes,
+    and the last ``window`` rows.  Layer-1 keys and values of a chunk
+    depend on that chunk's tokens alone, so after m = ceil(window / chunk)
+    chunks the layer-1 cache holds the serial walk's rows, the chunks after
+    them get exact layer-1 outputs, and each further lower layer is exact m
+    chunks later.  A segment that owns chunks a.. therefore walks chunk 0, then
     the warm = (l_R - 1) * m chunks before a (straight on from chunk 0 when
     a - warm <= 1), and from chunk a on computes the serial walk's
     ``full_k`` rows and caches with the same shapes and bits.  Each segment
@@ -208,7 +211,7 @@ def stream_prefill_context(
     if counter is not None:
         counter.add(sum(dots for _, dots in results))
     return StreamCache(length=length, sink_len=sink_len, layers=results[-1][0],
-                       full_k=full_k, cursor=length)
+                       full_k=full_k)
 
 
 def prefill_query_part(

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ctxpress import allocator
+from ctxpress import allocator, model
 from ctxpress.allocator import (
     DegenerateContext,
     PoolingConfig,
@@ -32,9 +32,11 @@ def _scores(values, origin=0):
 
 
 def _ranking(vec, m, n, max_windows=None):
-    # the caller pools once per max kernel; tests pool per call
-    return list(pooled_ranking(vec, allocator._max_pool(vec.values, m), m, n,
-                               max_windows=max_windows))
+    # the caller pools once per max kernel; tests pool per call.  The
+    # ranked windows, flattened into one index stream
+    return [int(i) for window in pooled_ranking(vec, allocator._max_pool(vec.values, m), m, n,
+                                                max_windows=max_windows)
+            for i in window]
 
 
 def _context(n):
@@ -145,7 +147,7 @@ def test_scoring_memory_stays_within_a_block():
     tracemalloc.start()
     try:
         # both heads in flight at once, on any host
-        with mock.patch.object(allocator, "_CPUS", 2):
+        with mock.patch.object(model, "_CPUS", 2):
             query_context_scores(q, k)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -170,7 +172,7 @@ def test_head_tasks_reproduce_the_serial_loop_bit_for_bit(heads, half_d, query_l
     k = gen.normal(size=(heads, length, d_h))
     want = serial_block_scores(q, k, 1)
     with mock.patch.object(allocator, "SCORE_BLOCK", 1), \
-            mock.patch.object(allocator, "_CPUS", cpus):
+            mock.patch.object(model, "_CPUS", cpus):
         got = query_context_scores(q, k)
     assert np.array_equal(got, want)
 
@@ -233,7 +235,7 @@ def test_failed_head_surfaces_after_every_head_finished():
     context = synthetic_ids(600, weights.spec.vocab, 1)
     query = synthetic_ids(32, weights.spec.vocab, 2)  # four 8-row blocks per head
     with mock.patch.object(allocator, "SCORE_BLOCK", 1), \
-            mock.patch.object(allocator, "_CPUS", 2), \
+            mock.patch.object(model, "_CPUS", 2), \
             mock.patch.object(allocator, "softmax_rows", flaky), \
             pytest.raises(PipelineError) as err:
         run_compress(weights, StreamConfig(retrieval_layer=1), PoolingConfig(budget=64),
@@ -348,6 +350,41 @@ def test_matches_naive_reimplementation(rng):
         got = context_allocate(_scores(values, origin=sink), cfg, _context(n + sink), sink)
         want = naive_allocate(values, sink, budget, max_k, avg_k, n + sink)
         assert got.indices == want, (trial, n, sink, budget, max_k, avg_k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(levels=st.lists(st.sampled_from([0.1, 0.25, 0.5, 0.9]), min_size=1, max_size=200),
+       sink=st.integers(0, 5), budget=st.integers(0, 200),
+       max_k=st.lists(st.integers(1, 9), min_size=1, max_size=3, unique=True),
+       avg_k=st.lists(st.integers(1, 17), min_size=1, max_size=5, unique=True))
+def test_window_allocation_matches_naive_loop_with_ties(levels, sink, budget, max_k, avg_k):
+    # few distinct levels put tied windows and overlapping picks everywhere;
+    # taking whole windows against the free mask must keep the set loop's picks
+    values = np.asarray(levels)
+    total = len(values) + sink
+    cfg = PoolingConfig(max_kernels=tuple(max_k), avg_kernels=tuple(avg_k), budget=budget)
+    got = context_allocate(_scores(values, origin=sink), cfg, _context(total), sink)
+    assert got.indices == naive_allocate(values, sink, budget, max_k, avg_k, total)
+
+
+@pytest.mark.parametrize("budget", [5, 47, 1024])
+def test_every_combination_with_a_quota_draws_a_window(monkeypatch, budget):
+    # 48 default combinations: a budget below 48 leaves the later ones a
+    # quota of 0, and they must not rank at all
+    drawn = []
+    ranking = allocator.pooled_ranking
+
+    def recorded(scores, pooled, m, n, max_windows=None):
+        for window in ranking(scores, pooled, m, n, max_windows=max_windows):
+            drawn.append((m, n, max_windows))
+            yield window
+
+    monkeypatch.setattr(allocator, "pooled_ranking", recorded)
+    cfg = PoolingConfig(budget=budget)
+    res = context_allocate(_scores(_rng(8).random(4000), 4), cfg, _context(4004), 4)
+    assert not res.used_fallback
+    combos = [(m, n, budget // m + 1) for m in cfg.max_kernels for n in cfg.avg_kernels]
+    assert set(drawn) == set(combos[:budget])
 
 
 def test_remainder_spread_over_earliest_combinations():

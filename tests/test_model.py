@@ -1,14 +1,17 @@
 """Model core: seeded weights, rotary encoding, masked attention, block step."""
 
 import math
+import threading
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ctxpress
+from ctxpress import model
 from ctxpress.model import (
     ROW_BLOCK,
     DimensionMismatch,
@@ -21,6 +24,7 @@ from ctxpress.model import (
     layer_forward,
     load_weights,
     masked_attention,
+    run_parts,
     save_weights,
 )
 from ctxpress.prefill import build_lambda_mask
@@ -181,9 +185,11 @@ def test_lambda_kernel_matches_loop_oracle(heads, half_dim, cached, new, seed):
     assert np.abs(got - want).max() < 1e-12
 
 
-def test_lambda_kernel_keeps_one_score_block(rng):
+def test_lambda_kernel_keeps_one_score_block(rng, monkeypatch):
     # every row block's scores reuse one (H, ROW_BLOCK, T_k) buffer; a block
-    # allocated while the previous one is still referenced would add another
+    # allocated while the previous one is still referenced would add another.
+    # One CPU makes one group of all blocks
+    monkeypatch.setattr(model, "_CPUS", 1)
     q = rng.normal(size=(2, 512, 16))
     k = rng.normal(size=(2, 1028, 16))
     tracemalloc.start()
@@ -193,6 +199,82 @@ def test_lambda_kernel_keeps_one_score_block(rng):
     finally:
         tracemalloc.stop()
     assert peak < 2 * q.nbytes + 2 * ROW_BLOCK * 1028 * 8 + 256 * 1024
+
+
+@pytest.mark.parametrize("cpus", [2, 4])
+def test_lambda_kernel_keeps_one_score_block_per_group(rng, monkeypatch, cpus):
+    # the 8 row blocks go to one group per CPU, each reusing one buffer of
+    # its own; a buffer per block would take twice as many as there are groups
+    monkeypatch.setattr(model, "_CPUS", cpus)
+    q = rng.normal(size=(2, 512, 16))
+    k = rng.normal(size=(2, 1028, 16))
+    tracemalloc.start()
+    try:
+        masked_attention(q, k, k, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * q.nbytes + cpus * 2 * ROW_BLOCK * 1028 * 8 + 256 * 1024
+
+
+@settings(max_examples=150, deadline=None)
+@given(heads=st.integers(1, 4), half_dim=st.integers(1, 8), cached=st.integers(0, 300),
+       new=st.one_of(st.integers(1, 400),
+                     st.sampled_from([ROW_BLOCK - 1, ROW_BLOCK, 2 * ROW_BLOCK,
+                                      3 * ROW_BLOCK + 5])),
+       cpus=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+@example(heads=1, half_dim=1, cached=0, new=5 * ROW_BLOCK + 1, cpus=4, seed=0)
+@example(heads=4, half_dim=8, cached=0, new=17 * ROW_BLOCK + 4, cpus=2, seed=1)
+@example(heads=2, half_dim=4, cached=516, new=ROW_BLOCK, cpus=4, seed=2)
+def test_lambda_groups_match_one_part_bit_for_bit(heads, half_dim, cached, new, cpus, seed):
+    # the row blocks dealt to min(cpus, blocks) groups on threads; a group
+    # that scored another's rows or shared its buffer would change bits.
+    # Examples: a ragged 1-row last block, needle-grid's first chunk, and a
+    # single block
+    gen = np.random.default_rng(seed)
+    q = gen.normal(size=(heads, new, 2 * half_dim))
+    k = gen.normal(size=(heads, cached + new, 2 * half_dim))
+    v = gen.normal(size=(heads, cached + new, 2 * half_dim))
+    with mock.patch.object(model, "_CPUS", 1):
+        want = masked_attention(q, k, v, None)
+    with mock.patch.object(model, "_CPUS", cpus):
+        got = masked_attention(q, k, v, None)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("blocks, parts", [(1, 1), (8, 2), (17, 2), (17, 4), (3, 3)])
+def test_balanced_cuts_make_contiguous_nonempty_groups(blocks, parts):
+    # Lambda blocks cost rows x columns, which grows with the row index
+    costs = [ROW_BLOCK * ROW_BLOCK * (i + 1) for i in range(blocks)]
+    cuts = model._balanced_cuts(costs, parts)
+    assert cuts[0] == 0 and cuts[-1] == blocks and len(cuts) == parts + 1
+    assert all(a < b for a, b in zip(cuts, cuts[1:]))
+    sums = [sum(costs[a:b]) for a, b in zip(cuts, cuts[1:])]
+    assert max(sums) - min(sums) <= max(costs)
+
+
+def test_run_parts_inside_a_part_starts_no_thread(monkeypatch):
+    # an outer call on two threads whose parts each make an inner call of
+    # three parts: only the outer call's second part gets a thread
+    starts = []
+    start = threading.Thread.start
+
+    def counted(self):
+        starts.append(self)
+        start(self)
+
+    def outer(i):
+        return threading.get_ident(), run_parts(lambda j: threading.get_ident(), 3)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    results = run_parts(outer, 2)
+    assert len(starts) == 1
+    assert results[0][0] == threading.get_ident() != results[1][0]
+    for ident, inner in results:
+        assert inner == [ident] * 3
+    # the flag is gone once the parts are done: the next call gets its thread
+    assert run_parts(lambda j: threading.get_ident(), 2)[1] != threading.get_ident()
+    assert len(starts) == 2
 
 
 def test_lambda_kernel_rejects_fewer_keys_than_queries(rng):

@@ -62,7 +62,7 @@ def test_degenerate_single_token(tiny_weights):
     cfg = StreamConfig(sink=0, window=4, chunk=8, retrieval_layer=1)
     cache = stream_prefill_context(tiny_weights, cfg, _random_seq(1))
     assert cache.full_k.shape == (2, 1, 16)
-    assert cache.cursor == 1
+    assert cache.length == 1
     assert cache.layers == []
 
 
@@ -85,7 +85,7 @@ def test_eviction_trace(tiny_weights):
         assert k.shape == v.shape == (2, 12, 16)
         k_ref, _ = lambda_mask_pipeline(tiny_weights, layer, ctx.ids, [5], 4, 8, 8)
         assert np.abs(k - k_ref[:, kept]).max() < 1e-5
-    assert cache.cursor == 40
+    assert cache.length == 40
 
 
 def test_full_keys_match_monolithic(toy_weights):
@@ -95,7 +95,7 @@ def test_full_keys_match_monolithic(toy_weights):
         cache = stream_prefill_context(toy_weights, cfg, ctx)
         _, k_ref = monolithic_pipeline_scores(toy_weights, lr, ctx.ids, [5], sink=4)
         assert np.abs(cache.full_k - k_ref).max() < 1e-5
-        assert cache.cursor == 256
+        assert cache.length == 256
 
 
 def test_cache_bound_between_chunks(tiny_weights):
@@ -187,7 +187,7 @@ def test_prefill_attends_without_dense_masks(tiny_weights, monkeypatch):
     monkeypatch.setattr(model, "masked_attention", counted)
     cfg = StreamConfig(sink=4, window=32, chunk=64, retrieval_layer=3)
     cache = stream_prefill_context(tiny_weights, cfg, _random_seq(300))
-    assert cache.cursor == 300
+    assert cache.length == 300
     chunks = 5  # 68 (chunk + sink), 64, 64, 64, 40
     assert len(masks) == chunks * (cfg.retrieval_layer - 1)
     assert all(mask is None for mask in masks)
@@ -213,7 +213,7 @@ def test_counter_exactly_affine_in_length(tiny_weights):
 def test_full_k_written_once_per_position(tiny_weights):
     cfg = StreamConfig(sink=2, window=8, chunk=8, retrieval_layer=2)
     cache = stream_prefill_context(tiny_weights, cfg, _random_seq(50))
-    assert cache.cursor == 50
+    assert cache.length == 50
     assert not np.all(cache.full_k == 0.0, axis=(0, 2)).any()  # every row filled
 
 
@@ -278,19 +278,70 @@ def test_segments_reproduce_the_serial_walk_bit_for_bit(tiny_weights, sink, wind
 @pytest.mark.parametrize("lr", [1, 2, 3, 4])
 def test_one_segment_starts_no_thread(tiny_weights, monkeypatch, lr):
     # needle-grid's prefill: 2,000 tokens in two default chunks, too few to
-    # split on any number of CPUs, so it all runs on the calling thread
+    # split on any number of CPUs; on one CPU it all runs on the calling thread
     def no_thread(self):
-        raise AssertionError("a one-segment prefill started a thread")
+        raise AssertionError("a one-CPU prefill started a thread")
 
-    monkeypatch.setattr(prefill, "_CPUS", 4)
+    monkeypatch.setattr(model, "_CPUS", 1)
     monkeypatch.setattr(threading.Thread, "start", no_thread)
     cache = stream_prefill_context(tiny_weights, StreamConfig(retrieval_layer=lr),
                                    _random_seq(2000))
-    assert cache.cursor == 2000
+    assert cache.length == 2000
+
+
+@pytest.mark.parametrize("cpus", [2, 4])
+@pytest.mark.parametrize("lr", [1, 2, 3, 4])
+def test_one_segment_leaves_only_attention_to_threads(tiny_weights, monkeypatch, lr, cpus):
+    # the same prefill on more CPUs: only the row-block groups of each
+    # chunk's Lambda attention leave the caller; the chunk walk and every key
+    # projection stay on it, and the keys are the serial walk's bits
+    caller = threading.get_ident()
+    walk, keys, attention = set(), set(), set()
+
+    def recorded(seen, function):
+        def on_thread(*args, **kwargs):
+            seen.add(threading.get_ident())
+            return function(*args, **kwargs)
+        return on_thread
+
+    ids = _random_seq(2000).ids
+    monkeypatch.setattr(model, "_CPUS", 1)
+    full_k, _, _ = serial_prefill(tiny_weights, ids, 4, 512, 1024, lr)
+    monkeypatch.setattr(model, "_CPUS", cpus)
+    monkeypatch.setattr(prefill, "layer_forward", recorded(walk, prefill.layer_forward))
+    monkeypatch.setattr(prefill, "project_keys", recorded(keys, prefill.project_keys))
+    monkeypatch.setattr(model, "softmax_rows", recorded(attention, model.softmax_rows))
+    cache = stream_prefill_context(tiny_weights, StreamConfig(retrieval_layer=lr), TokenSeq(ids))
+    assert walk <= {caller} and keys == {caller}
+    assert (len(attention) > 1) == (lr > 1)  # chunk 0's 17 row blocks, dealt to the CPUs
+    assert np.array_equal(cache.full_k, full_k)
+
+
+def test_segments_run_their_attention_inline(tiny_weights, monkeypatch):
+    # stream-64k's shape in small: 16 chunks of 128 rows, two row blocks
+    # each, in two segments; each chunk's attention stays on its segment's
+    # thread, since both segments already hold the CPUs
+    segments, attention = set(), set()
+    project_keys, softmax_rows = prefill.project_keys, model.softmax_rows
+
+    def keys_on_thread(*args):
+        segments.add(threading.get_ident())
+        return project_keys(*args)
+
+    def softmax_on_thread(scores):
+        attention.add(threading.get_ident())
+        return softmax_rows(scores)
+
+    monkeypatch.setattr(model, "_CPUS", 2)
+    monkeypatch.setattr(prefill, "project_keys", keys_on_thread)
+    monkeypatch.setattr(model, "softmax_rows", softmax_on_thread)
+    cfg = StreamConfig(sink=4, window=64, chunk=128, retrieval_layer=2)
+    stream_prefill_context(tiny_weights, cfg, _random_seq(4 + 128 * 16))
+    assert len(segments) == 2 and attention == segments
 
 
 def test_segment_count():
-    with mock.patch.object(prefill, "_CPUS", 2):
+    with mock.patch.object(model, "_CPUS", 2):
         # stream-64k: 128 chunks of 512, window 512, l_R = 2, so warm = 1
         assert prefill._segment_count(128, 1) == 2
         assert prefill._segment_count(15, 1) == 1  # 8 owned per 2 walked
@@ -312,7 +363,7 @@ def test_failed_segment_surfaces_after_every_segment_finished(tiny_weights):
         done.append(args[3][0])
         return project_keys(*args)
 
-    with mock.patch.object(prefill, "_CPUS", 2), \
+    with mock.patch.object(model, "_CPUS", 2), \
             mock.patch.object(prefill, "project_keys", flaky), \
             pytest.raises(FloatingPointError):
         stream_prefill_context(tiny_weights, cfg, _random_seq(4 + 16 * 17))
@@ -325,7 +376,7 @@ def test_segmented_prefill_in_a_child_forked_after_prefill(tiny_weights):
     # one never inherits a pool whose threads it lacks
     cfg = StreamConfig(sink=4, window=8, chunk=16, retrieval_layer=3)
     ctx = _random_seq(4 + 16 * 30)  # 30 chunks, warm = 2: two segments
-    with mock.patch.object(prefill, "_CPUS", 2):
+    with mock.patch.object(model, "_CPUS", 2):
         want = stream_prefill_context(tiny_weights, cfg, ctx).full_k
 
         def child():
