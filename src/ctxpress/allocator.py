@@ -139,52 +139,136 @@ def reduce_scores(values: np.ndarray, sink: int) -> ScoreVector:
 
 def _max_pool(values: np.ndarray, size: int) -> np.ndarray:
     # stride == size; a short trailing window is pooled over what it has
-    n = len(values)
-    buckets = (n + size - 1) // size
-    padded = np.full(buckets * size, -np.inf)
-    padded[:n] = values
-    return padded.reshape(buckets, size).max(axis=1)
+    pooled = values[0::size].copy()
+    for j in range(1, size):
+        part = values[j::size]
+        np.maximum(pooled[:len(part)], part, out=pooled[:len(part)])
+    return pooled
+
+
+def _tree8(x: np.ndarray) -> np.ndarray:
+    """((x0+x1)+(x2+x3))+((x4+x5)+(x6+x7)) at every start, added in place
+    in one buffer."""
+    sums = x[:-1] + x[1:]
+    np.add(sums[:-2], sums[2:], out=sums[:-2])
+    np.add(sums[:-6], sums[4:-2], out=sums[:-6])
+    return sums[:-6]
+
+
+class WindowMeans:
+    """The avg-kernel window means of one max-pooled vector:
+    ``mean(n)`` is ``sliding_window_view(pooled, min(n, len(pooled))).mean(-1)``,
+    bit for bit.
+
+    For n up to 16 over a pool at least that long, the window
+    sums are added from shifted slices as numpy's ``pairwise_sum`` adds
+    them: in sequence below 8 entries; from 8 to 16 in eight accumulators
+    r_j (r_j = p_j, or p_j + p_(j+8) at 16) combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest in sequence.  The
+    sums of n entries extend those of n - 1 by one slice, in place, so
+    asked in ascending order the 16 kernels take 20 vector adds in place of
+    120 and hold one running sum.  Other kernels, and every kernel of a
+    shorter pool, reduce their own windows.
+    """
+
+    def __init__(self, pooled: np.ndarray) -> None:
+        self.pooled = pooled
+        self._run: tuple[int, np.ndarray] | None = None  # (n, sums) below 16
+
+    def mean(self, n: int) -> np.ndarray:
+        p = self.pooled
+        if not n <= 16 <= len(p):
+            return sliding_window_view(p, min(n, len(p))).mean(axis=-1)
+        if n == 16:
+            self._run = None
+            return _tree8(p[:-8] + p[8:]) / n
+        k, run = self._run or (n + 1, None)
+        if k > n or k < 8 <= n:  # start the run that n extends
+            k, run = (1, p) if n < 8 else (8, _tree8(p))
+        for j in range(k, n):
+            if run is p:
+                run = p[:-1] + p[1:]
+            else:
+                np.add(run[:-1], p[j:], out=run[:-1])
+                run = run[:-1]
+        self._run = (n, run)
+        return run / n
+
+
+def _ranked(avgs: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` windows of the stable descending ranking of
+    ``avgs``: only windows at least as good as the count-th best can rank."""
+    if count < len(avgs):
+        kth = len(avgs) - count
+        order = (avgs >= np.partition(avgs, kth)[kth]).nonzero()[0]
+        return order[(-avgs[order]).argsort(kind="stable")][:count]
+    return (-avgs).argsort(kind="stable")
+
+
+#: windows the first batch of a ranking holds; each later batch holds four
+#: times as many as the one before, up to ``BATCH`` indices
+FIRST_WINDOWS = 64
+#: indices one batch of ranked windows holds at most (512 KiB of int64)
+BATCH = 1 << 16
 
 
 def pooled_ranking(
     scores: ScoreVector,
-    pooled: np.ndarray,
+    avgs: np.ndarray,
     m: int,
     n: int,
     max_windows: int | None = None,
 ) -> Iterator[np.ndarray]:
-    """Stream the ranked windows of one (max m, avg n) combination, each as
-    one int64 array of its absolute context indices.
+    """Stream the ranked windows of one (max m, avg n) combination in
+    batches of consecutive ranked windows, each batch one int64 array of
+    absolute context indices.
 
-    ``pooled`` is ``_max_pool(scores.values, m)``, computed once by the
-    caller for every avg kernel.  Windows are ranked in pooled space by
-    descending average score, ties to the lower position, and visited
-    best-first; inside a window, offsets ascend.  The same index may appear
-    under several overlapping windows -- the caller deduplicates.
+    ``avgs`` holds the combination's window means, ``WindowMeans(
+    _max_pool(scores.values, m)).mean(n)``.  Windows are ranked in pooled
+    space by descending mean, ties to the lower position, at most
+    ``max_windows`` of them, and visited best-first; inside a window,
+    offsets ascend.  Overlapping windows share buckets: a batch lists each
+    index once, where its first window has it (a scatter of the batch's
+    bucket positions, in reverse, into one int64 array).  A later batch
+    may list an index again.  Only the windows of the batches a caller
+    draws get ranked.
     """
-    values = scores.values
-    if len(values) == 0:
+    length = len(scores.values)
+    if length == 0:
         return
-    n_eff = min(n, len(pooled))
-    avgs = sliding_window_view(pooled, n_eff).mean(axis=-1)
-    order = np.arange(len(avgs))
-    if max_windows is not None and 0 < max_windows < len(avgs):
-        # only windows at least as good as the max_windows-th best can rank
-        kth = len(avgs) - max_windows
-        order = np.flatnonzero(avgs >= np.partition(avgs, kth)[kth])
-    for a in order[np.argsort(-avgs[order], kind="stable")][:max_windows]:
-        lo = int(a) * m
-        hi = min((int(a) + n_eff) * m, len(values))
-        yield np.arange(lo + scores.origin, hi + scores.origin, dtype=np.int64)
+    total = len(avgs) if max_windows is None else min(max_windows, len(avgs))
+    buckets = -(-length // m)
+    width = min(n, buckets)  # buckets per window
+    cells = np.arange(width)
+    offsets = np.arange(scores.origin, scores.origin + m, dtype=np.int64)
+    first = np.empty(buckets, dtype=np.int64)
+    limit = max(1, BATCH // (width * m))
+    done, count = 0, min(FIRST_WINDOWS, limit)
+    while done < total:
+        upto = min(total, done + count)
+        starts = _ranked(avgs, upto)[done:]
+        held = (starts[:, None] + cells).ravel()
+        if width > 1:
+            at = np.arange(len(held))
+            first[held[::-1]] = at[::-1]  # the last write, the first position, stays
+            held = held[first[held] == at]
+        batch = (held[:, None] * m + offsets).ravel()
+        if length % m and starts.max() == len(avgs) - 1:
+            # the last window ends in a short bucket
+            batch = batch[batch < length + scores.origin]
+        yield batch
+        done, count = upto, min(4 * count, limit)
 
 
-def _take(windows: Iterator[np.ndarray], free: np.ndarray, need: int) -> int:
+def _take(batches: Iterator[np.ndarray], free: np.ndarray, need: int) -> int:
     """Take the first ``need`` indices still ``free`` from the ranked
-    ``windows``, in stream order, and clear them in ``free``; returns how
-    many were taken (fewer if the windows run out)."""
+    ``batches``, in stream order, and clear them in ``free``; returns how
+    many were taken (fewer if the batches run out).  A batch lists each
+    index once, so one mask read takes it; an index an earlier batch
+    listed is no longer free, since that batch was taken whole."""
     taken = 0
-    for win in windows:
-        new = win[free[win]][:need - taken]
+    for batch in batches:
+        new = batch[free[batch]][:need - taken]
         free[new] = False
         taken += len(new)
         if taken >= need:
@@ -226,17 +310,17 @@ def context_allocate(
         base, extra = divmod(cfg.budget, len(cfg.max_kernels) * len(cfg.avg_kernels))
         combo = 0
         for m in cfg.max_kernels:
-            pooled = _max_pool(scores.values, m)
+            means = WindowMeans(_max_pool(scores.values, m))
             cap = cfg.budget // m + 1
             for n in cfg.avg_kernels:
                 quota = base + (1 if combo < extra else 0)
                 combo += 1
                 if quota > 0:
-                    kept += _take(pooled_ranking(scores, pooled, m, n, max_windows=cap),
+                    kept += _take(pooled_ranking(scores, means.mean(n), m, n, max_windows=cap),
                                   free, quota)
         if kept < target:
             used_fallback = True
-            # a size-1 max pool is the score vector itself
+            # the size-1 windows of a size-1 max pool are the scores themselves
             kept += _take(pooled_ranking(scores, scores.values, 1, 1), free, target - kept)
         indices = np.flatnonzero(~free).tolist()
     assert len(indices) == target, f"allocated {len(indices)} != target {target}"

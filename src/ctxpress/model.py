@@ -14,7 +14,8 @@ import os
 import struct
 import threading
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -91,7 +92,8 @@ class Weights:
 #: attention; read at call time, so one rebinding reaches every caller
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
-#: ``in_part`` is true on a thread while it runs a part of a multi-part call
+#: on each thread: ``in_part`` is true while it runs a part of a
+#: multi-part call, ``workers`` is its open ``worker_scope``
 _PARTS = threading.local()
 
 
@@ -101,20 +103,62 @@ def _free_cpus() -> int:
     return 1 if getattr(_PARTS, "in_part", False) else _CPUS
 
 
+class _Workers:
+    """The one thread pool of a worker scope: started on first need,
+    replaced by a bigger one when a call needs more threads."""
+
+    def __init__(self) -> None:
+        self._pool: ThreadPoolExecutor | None = None
+        self._size = 0
+
+    def pool(self, size: int) -> ThreadPoolExecutor:
+        if size > self._size:
+            self.close()
+            # the pool starts a thread only on a submit that finds none idle
+            self._pool, self._size = ThreadPoolExecutor(size), size
+        return self._pool
+
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+            self._pool, self._size = None, 0
+
+
+@contextmanager
+def worker_scope():
+    """Run the multi-part ``run_parts`` calls this thread makes inside the
+    block on one pool, which is joined when the block returns or raises, so
+    no pool outlives it and a child forked after it never inherits a pool
+    whose threads it lacks.  A scope inside another one is part of it."""
+    if getattr(_PARTS, "workers", None) is not None:
+        yield
+        return
+    _PARTS.workers = workers = _Workers()
+    try:
+        yield
+    finally:
+        _PARTS.workers = None
+        workers.close()
+
+
 def run_parts(task, parts: int) -> list:
     """``[task(0), ..., task(parts - 1)]``, part 0 on the calling thread and
-    the others on a thread pool made for this call; one part starts no
-    thread.  A call made from inside a part of a multi-part call runs its
-    parts inline, one after another, since the outer parts already hold the
-    cores: segmented prefill's attention stays on its segment's thread,
-    while a one-segment prefill's attention gets the cores.  Every part has
-    finished before this returns or raises the first failure, so no thread
-    still writes into shared buffers once an error propagates, and a forked
-    child never inherits a pool whose threads it lacks.  Threads beyond the
+    the others on the pool of the thread's ``worker_scope``, or of a scope
+    opened for this call; one part starts no thread.  A call made from
+    inside a part of a multi-part call runs its parts inline, one after
+    another, since the outer parts already hold the cores: segmented
+    prefill's attention stays on its segment's thread, while a one-segment
+    prefill's attention gets the cores.  Every part has finished before
+    this returns or raises the first failure, so no thread still writes
+    into shared buffers once an error propagates.  Threads beyond the
     caller's each keep a malloc arena, so using the caller saves one
     arena's worth of peak memory."""
     if parts <= 1 or getattr(_PARTS, "in_part", False):
         return [task(i) for i in range(parts)]
+    workers = getattr(_PARTS, "workers", None)
+    if workers is None:
+        with worker_scope():
+            return run_parts(task, parts)
 
     def part(i: int):
         _PARTS.in_part = True
@@ -123,10 +167,14 @@ def run_parts(task, parts: int) -> list:
         finally:
             _PARTS.in_part = False
 
-    # the pool starts a thread only on submit
-    with ThreadPoolExecutor(parts - 1) as pool:
-        tasks = [pool.submit(part, i) for i in range(1, parts)]
+    pool = workers.pool(parts - 1)
+    tasks = []
+    try:
+        for i in range(1, parts):
+            tasks.append(pool.submit(part, i))
         first = part(0)
+    finally:
+        wait(tasks)
     return [first, *(done.result() for done in tasks)]
 
 
@@ -210,11 +258,16 @@ def _rotary_tables(positions: np.ndarray, d_h: int, base: float) -> tuple[np.nda
 
 
 def _rotate(vecs: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    # even * cos - odd * sin and even * sin + odd * cos, each product and
+    # sum rounded as before, written straight into the output's pairs
     even = vecs[..., 0::2]
     odd = vecs[..., 1::2]
     out = np.empty_like(vecs, dtype=np.float64)
-    out[..., 0::2] = even * cos - odd * sin
-    out[..., 1::2] = even * sin + odd * cos
+    first, second = out[..., 0::2], out[..., 1::2]
+    np.multiply(even, cos, out=first)
+    first -= odd * sin
+    np.multiply(even, sin, out=second)
+    second += odd * cos
     return out
 
 
@@ -329,18 +382,29 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(1, 0, 2).reshape(t, h * d_h)
 
 
-def project_queries(weights: Weights, layer: int, x: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Rotary-encoded query states of layer ``layer`` (1-based) for input x (T, d)."""
+def rotary_tables(weights: Weights, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (cos, sin) rotary tables of ``positions`` for this model's heads,
+    each (T, d_h/2); every layer rotates with the same ones."""
+    return _rotary_tables(positions, weights.spec.head_dim, weights.spec.rope_base)
+
+
+def project_queries(weights: Weights, layer: int, x: np.ndarray, positions: np.ndarray,
+                    rotary: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Rotary-encoded query states of layer ``layer`` (1-based) for input x
+    (T, d); ``rotary`` is ``rotary_tables(weights, positions)``, if the
+    caller has them."""
     lw = weights.layers[layer - 1]
     q = _split_heads(rms_norm(x, lw.attn_gain) @ lw.wq.astype(np.float64), weights.spec.heads)
-    return apply_position_encoding(q, positions, weights.spec.rope_base)
+    return _rotate(q, *(rotary or rotary_tables(weights, positions)))
 
 
-def project_keys(weights: Weights, layer: int, x: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Rotary-encoded key states of layer ``layer`` (1-based) for input x (T, d)."""
+def project_keys(weights: Weights, layer: int, x: np.ndarray, positions: np.ndarray,
+                 rotary: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Rotary-encoded key states of layer ``layer`` (1-based) for input x
+    (T, d); ``rotary`` as for ``project_queries``."""
     lw = weights.layers[layer - 1]
     k = _split_heads(rms_norm(x, lw.attn_gain) @ lw.wk.astype(np.float64), weights.spec.heads)
-    return apply_position_encoding(k, positions, weights.spec.rope_base)
+    return _rotate(k, *(rotary or rotary_tables(weights, positions)))
 
 
 def layer_forward(
@@ -351,14 +415,17 @@ def layer_forward(
     mask: np.ndarray | None,
     cache_k: np.ndarray | None = None,
     cache_v: np.ndarray | None = None,
+    rotary: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One pre-norm decoder block over new tokens against an optional KV cache.
 
     ``layer`` is 1-based.  ``x`` is (T, d); cached keys/values are
     (H, C, d_h) and are attended before the new tokens.  ``mask`` is a dense
     (T, C + T) mask, or None for the Lambda mask (see ``masked_attention``).
-    Returns the block output plus the attended rotary-encoded keys and raw
-    values: the C cached rows followed by the T new rows, in fresh arrays.
+    ``rotary`` is ``rotary_tables(weights, positions)``, if the caller has
+    them.  Returns the block output plus the attended rotary-encoded keys
+    and raw values: the C cached rows followed by the T new rows, in fresh
+    arrays.
     """
     spec = weights.spec
     t = x.shape[0]
@@ -368,7 +435,7 @@ def layer_forward(
         return x.copy(), k.copy(), v.copy()
     lw = weights.layers[layer - 1]
     x_norm = rms_norm(x, lw.attn_gain)
-    rotary = _rotary_tables(positions, spec.head_dim, spec.rope_base)
+    rotary = rotary or rotary_tables(weights, positions)
     q, k, v = (_split_heads(x_norm @ w.astype(np.float64), spec.heads)
                for w in (lw.wq, lw.wk, lw.wv))
     q, k = _rotate(q, *rotary), _rotate(k, *rotary)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cache, lru_cache
 from importlib import resources
 
 import numpy as np
@@ -36,6 +37,7 @@ class FillerTooShort(UserWarning):
     """The filler corpus had to be cycled to reach the requested length."""
 
 
+@cache
 def default_filler() -> str:
     return resources.files("ctxpress.data").joinpath("filler.txt").read_text(encoding="utf-8")
 
@@ -85,12 +87,24 @@ def cell_rng(seed: int, depth_index: int, key_digits: int) -> np.random.Generato
     return np.random.Generator(np.random.Philox(key=key))
 
 
+@lru_cache(maxsize=4)
+def _encoded_corpus(corpus: str, vocab: Vocab) -> tuple[tuple[int, ...],
+                                                        tuple[tuple[int, str], ...]]:
+    """The ids of ``corpus`` and its memo entries (id, first piece) in the
+    order ``encode`` writes them, tokenized once per corpus and vocab."""
+    memo: dict[int, str] = {}
+    return tuple(encode(corpus, vocab, memo).ids), tuple(memo.items())
+
+
 def _filler_ids(corpus: str, needed: int, vocab: Vocab, memo: dict[int, str]) -> list[int]:
-    base = encode(corpus, vocab, memo).ids
+    base, entries = _encoded_corpus(corpus, vocab)
+    # first write wins, as if ``encode`` had filled ``memo`` itself
+    for tid, piece in entries:
+        memo.setdefault(tid, piece)
     if not base:
         raise ValueError("filler corpus produced no tokens")
     if len(base) >= needed:
-        return base[:needed]
+        return list(base[:needed])
     warnings.warn(
         f"filler corpus has {len(base)} tokens, cycling to reach {needed}",
         FillerTooShort,

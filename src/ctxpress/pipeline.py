@@ -25,7 +25,7 @@ from ctxpress.allocator import (
     reduce_scores,
 )
 from ctxpress.codec import TokenSeq, fnv1a64
-from ctxpress.model import OpCounter, Weights
+from ctxpress.model import OpCounter, Weights, worker_scope
 from ctxpress.prefill import StreamConfig, prefill_query_part, stream_prefill_context
 
 
@@ -123,10 +123,13 @@ def run_compress(
         except Exception as exc:  # noqa: BLE001 - re-raised with stage context
             raise PipelineError(name, exc) from exc
 
-    cache = stage("context-prefill", stream_prefill_context, weights, stream, context, counter)
-    query_states = stage("query-prefill", prefill_query_part, weights, stream, cache, query,
-                         counter=counter)
-    values = stage("scoring", query_context_scores, query_states, cache.full_k, counter)
+    # prefill segments, attention row groups and scoring heads share one pool
+    with worker_scope():
+        cache = stage("context-prefill", stream_prefill_context, weights, stream, context,
+                      counter)
+        query_states = stage("query-prefill", prefill_query_part, weights, stream, cache,
+                             query, counter=counter)
+        values = stage("scoring", query_context_scores, query_states, cache.full_k, counter)
     scores = stage("scoring", reduce_scores, values, cache.sink_len)
     allocation = stage("allocation", context_allocate, scores, pooling, context, cache.sink_len)
     low, retrieval = cache.cache_cell_counts()

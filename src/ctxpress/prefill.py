@@ -26,6 +26,7 @@ from ctxpress.model import (
     layer_forward,
     project_keys,
     project_queries,
+    rotary_tables,
     run_parts,
 )
 
@@ -116,8 +117,9 @@ def _prefill_chunks(
     Embeds each ``(start, end)`` chunk of ``ids`` in ``walk`` (ascending;
     see ``_chunk_bounds``), runs it through layers 1..l_R-1 against each
     layer's cached rows, and, for the chunks from ``walk[owned]`` on, yields
-    ``(start, end, x, positions)`` with ``x`` the chunk's input to the
-    retrieval layer.  Each entry of ``layers`` is rebound to the attended
+    ``(start, end, x, positions, rotary)`` with ``x`` the chunk's input to
+    the retrieval layer and ``rotary`` the chunk's rotary tables, built
+    once for every layer.  Each entry of ``layers`` is rebound to the attended
     rows, trimmed to the first ``sink_len`` and the last ``window`` rows; no
     array is mutated.  ``counter`` gains the Lambda mask's dot products of
     the yielded chunks, ``cached*T + T(T+1)/2`` per chunk of T tokens and
@@ -127,18 +129,20 @@ def _prefill_chunks(
     for step, (start, end) in enumerate(walk):
         t = end - start
         positions = np.arange(offset + start, offset + end, dtype=np.int64)
+        rotary = rotary_tables(weights, positions)
         x = embed(weights, ids[start:end])
         for i, (k, v) in enumerate(layers):
             cached = k.shape[1]
             if counter is not None and step >= owned:
                 counter.add(cached * t + t * (t + 1) // 2)
-            x, k, v = layer_forward(weights, i + 1, x, positions, None, cache_k=k, cache_v=v)
+            x, k, v = layer_forward(weights, i + 1, x, positions, None, cache_k=k, cache_v=v,
+                                    rotary=rotary)
             if k.shape[1] > keep:
                 k = np.concatenate([k[:, :sink_len], k[:, -config.window:]], axis=1)
                 v = np.concatenate([v[:, :sink_len], v[:, -config.window:]], axis=1)
             layers[i] = (k, v)
         if step >= owned:
-            yield start, end, x, positions
+            yield start, end, x, positions, rotary
 
 
 def _segment_count(chunks: int, warm: int) -> int:
@@ -202,9 +206,9 @@ def stream_prefill_context(
         empty = np.zeros((spec.heads, 0, spec.head_dim))
         layers = [(empty, empty)] * (lr - 1)
         own = OpCounter()
-        for start, end, x, positions in _prefill_chunks(
+        for start, end, x, positions, rotary in _prefill_chunks(
                 weights, config, layers, ids, 0, walk, len(walk) - (b - a), sink_len, own):
-            full_k[:, start:end] = project_keys(weights, lr, x, positions)
+            full_k[:, start:end] = project_keys(weights, lr, x, positions, rotary)
         return layers, own.dot_products
 
     results = run_parts(run_segment, segments)
@@ -235,8 +239,8 @@ def prefill_query_part(
     if len(ids) == 0:
         raise EmptyQuery("query part has no tokens")
     lr = config.retrieval_layer
-    states = [project_queries(weights, lr, x, positions)
-              for _, _, x, positions in _prefill_chunks(
+    states = [project_queries(weights, lr, x, positions, rotary)
+              for _, _, x, positions, rotary in _prefill_chunks(
                   weights, config, list(cache.layers), ids, cache.length,
                   _chunk_bounds(len(ids), config.chunk, 0), 0, cache.sink_len, counter)]
     return np.concatenate(states, axis=1)

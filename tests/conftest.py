@@ -1,8 +1,15 @@
+import os
 import struct
 import sys
 from pathlib import Path
 
-import numpy as np
+# Before numpy loads, as ``import ctxpress`` would do had it come first: the
+# engine's threads each call BLAS, and a multi-threaded BLAS competes with
+# them for the same cores (test_model pins this)
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # make tests/reference.py importable

@@ -6,8 +6,10 @@ once with a single causal mask (no chunks, no eviction); the Lambda-mask
 pipeline runs every token at once under a dense mask built entry by entry
 from the chunk, sink and window rule; the serial block scorer walks every
 head's query rows together through one buffer, on one thread; the naive
-allocator follows the budget loop literally with python sets and lists; the
-serial prefill walks every context chunk in order on one thread.
+allocator follows the budget loop literally with python sets and lists, and
+the window-loop allocator ranks every window with numpy's own mean and takes
+the ranked windows one at a time; the serial prefill walks every context
+chunk in order on one thread.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ctxpress.allocator import query_context_scores, reduce_scores
 from ctxpress.model import (
@@ -275,3 +278,54 @@ def naive_allocate(scores: np.ndarray, sink: int, budget: int,
                 break
             allocated.add(c + sink)
     return sorted(allocated)
+
+
+def window_loop_allocate(scores: np.ndarray, sink: int, budget: int,
+                         max_kernels: tuple[int, ...], avg_kernels: tuple[int, ...],
+                         total_len: int) -> list[int]:
+    """The allocator as it ran window by window: one ``sliding_window_view``
+    mean per combination, the capped stable ranking, and each ranked window
+    taken against a boolean free mask, then the plain (1, 1) top-up."""
+    target = min(sink + budget, total_len)
+    if target >= total_len:
+        return list(range(total_len))
+    values = np.asarray(scores, dtype=np.float64)
+    free = np.ones(total_len, dtype=bool)
+    free[:min(sink, total_len)] = False
+    kept = min(sink, total_len)
+
+    def windows(pooled, m, n, cap):
+        n_eff = min(n, len(pooled))
+        avgs = sliding_window_view(pooled, n_eff).mean(axis=-1)
+        order = np.arange(len(avgs))
+        if cap is not None and 0 < cap < len(avgs):
+            kth = len(avgs) - cap
+            order = np.flatnonzero(avgs >= np.partition(avgs, kth)[kth])
+        for a in order[np.argsort(-avgs[order], kind="stable")][:cap]:
+            yield np.arange(int(a) * m + sink, min((int(a) + n_eff) * m, len(values)) + sink)
+
+    def take(stream, need):
+        taken = 0
+        for win in stream:
+            new = win[free[win]][:need - taken]
+            free[new] = False
+            taken += len(new)
+            if taken >= need:
+                break
+        return taken
+
+    base, extra = divmod(budget, len(max_kernels) * len(avg_kernels))
+    combo = 0
+    for m in max_kernels:
+        buckets = -(-len(values) // m)
+        padded = np.full(buckets * m, -np.inf)
+        padded[:len(values)] = values
+        pooled = padded.reshape(buckets, m).max(axis=1)
+        for n in avg_kernels:
+            quota = base + (1 if combo < extra else 0)
+            combo += 1
+            if quota > 0:
+                kept += take(windows(pooled, m, n, budget // m + 1), quota)
+    if kept < target:
+        take(windows(values, 1, 1, None), target - kept)
+    return np.flatnonzero(~free).tolist()

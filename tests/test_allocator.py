@@ -9,6 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import example, given, settings, strategies as st
 
 from ctxpress import allocator, model
@@ -25,18 +26,24 @@ from ctxpress.codec import TokenSeq
 from ctxpress.model import ModelSpec, build_model, softmax_rows
 from ctxpress.pipeline import PipelineError, run_compress, synthetic_ids
 from ctxpress.prefill import StreamConfig
-from reference import naive_allocate, serial_block_scores
+from reference import (
+    naive_allocate,
+    naive_avg_windows,
+    naive_max_pool,
+    serial_block_scores,
+    window_loop_allocate,
+)
 
 def _scores(values, origin=0):
     return ScoreVector(values=np.asarray(values, dtype=np.float64), origin=origin)
 
 
 def _ranking(vec, m, n, max_windows=None):
-    # the caller pools once per max kernel; tests pool per call.  The
-    # ranked windows, flattened into one index stream
-    return [int(i) for window in pooled_ranking(vec, allocator._max_pool(vec.values, m), m, n,
-                                                max_windows=max_windows)
-            for i in window]
+    # the caller pools and averages once per max kernel; tests do it per
+    # call.  The ranked batches, flattened into one index stream
+    avgs = allocator.WindowMeans(allocator._max_pool(vec.values, m)).mean(n)
+    return [int(i) for batch in pooled_ranking(vec, avgs, m, n, max_windows=max_windows)
+            for i in batch]
 
 
 def _context(n):
@@ -278,14 +285,59 @@ def test_capped_ranking_is_prefix_of_uncapped(levels, m, n, cap):
     capped = _ranking(vec, m, n, max_windows=cap)
     full = _ranking(vec, m, n)
     assert capped == full[:len(capped)]
-    buckets = -(-len(levels) // m)
-    n_eff = min(n, buckets)
-    windows, pos = 0, 0
-    while pos < len(capped):  # each window starts at its first offset
-        a = (capped[pos] - 3) // m
-        pos += min((a + n_eff) * m, len(levels)) - a * m
-        windows += 1
-    assert windows == min(cap, buckets - n_eff + 1)
+    # the literal ranking's first cap windows, each index where its first
+    # window has it (a batch lists an index once, a later batch may repeat it)
+    avgs, n_eff = naive_avg_windows(naive_max_pool(levels, m), n)
+    ranked = sorted(range(len(avgs)), key=lambda a: (-avgs[a], a))[:cap]
+    want = [i + 3 for a in ranked for i in range(a * m, min((a + n_eff) * m, len(levels)))]
+    assert list(dict.fromkeys(capped)) == list(dict.fromkeys(want))
+
+
+@settings(max_examples=300, deadline=None)
+@given(levels=st.lists(st.sampled_from([0.1, 0.25, 0.3, 0.5, 0.9, 1e-3, 7.0]),
+                       min_size=1, max_size=400),
+       kernels=st.lists(st.integers(1, 16), min_size=1, max_size=20),
+       jitter=st.booleans(), seed=st.integers(0, 2 ** 31 - 1))
+@example(levels=[0.1] * 16, kernels=list(range(1, 17)), jitter=True, seed=0)
+@example(levels=[0.3] * 400, kernels=list(range(1, 17)), jitter=True, seed=1)
+@example(levels=[0.3] * 40, kernels=[16, 9, 3, 12, 12, 1, 15, 8, 7], jitter=True, seed=2)
+def test_shared_window_means_equal_numpys_mean(levels, kernels, jitter, seed):
+    # the shared slice sums must add in numpy's pairwise order, so every
+    # mean is sliding_window_view(...).mean(-1) bit for bit, in whatever
+    # order the kernels are asked; few rounded levels put exact ties
+    # everywhere, jitter makes most sums inexact
+    pooled = np.asarray(levels)
+    if jitter:
+        pooled = pooled * (1 + np.round(_rng(seed).random(len(pooled)), 3))
+    means = allocator.WindowMeans(pooled)
+    for n in kernels:
+        got = means.mean(n)
+        assert np.array_equal(got, sliding_window_view(pooled, min(n, len(pooled))).mean(-1)), n
+        naive, _ = naive_avg_windows(list(pooled), n)
+        if n < 8:  # python's sum adds in sequence too
+            assert np.array_equal(got, naive), n
+        else:
+            np.testing.assert_allclose(got, naive, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("length, kernels", [(400, (17, 40, 16)), (15, (1, 8, 16)),
+                                             (16, (16, 20, 1))])
+def test_untested_kernels_and_short_pools_keep_numpys_mean(monkeypatch, length, kernels):
+    # only avg kernels up to 16 over pools at least 16 long share sums;
+    # the others still reduce their own windows
+    calls = []
+
+    def recorded(pooled, n):
+        calls.append(n)
+        return sliding_window_view(pooled, n)
+
+    monkeypatch.setattr(allocator, "sliding_window_view", recorded)
+    pooled = _rng(4).random(length)
+    means = allocator.WindowMeans(pooled)
+    for n in kernels:
+        want = sliding_window_view(pooled, min(n, length)).mean(axis=-1)
+        assert np.array_equal(means.mean(n), want)
+    assert calls == [min(n, length) for n in kernels if not n <= 16 <= length]
 
 
 def test_top_k_cap_rule():
@@ -385,6 +437,34 @@ def test_every_combination_with_a_quota_draws_a_window(monkeypatch, budget):
     assert not res.used_fallback
     combos = [(m, n, budget // m + 1) for m in cfg.max_kernels for n in cfg.avg_kernels]
     assert set(drawn) == set(combos[:budget])
+
+
+@pytest.mark.parametrize("shape", ["needle-grid", "score-64k"])
+@pytest.mark.parametrize("ties", [False, True])
+def test_batched_allocation_equals_the_window_loop(shape, ties):
+    # the benchmark's shapes: L = 2,000 with budget 1,024, and L = 65,536
+    # with budget 8,192, sink 4, the default kernels; peaky scores as a
+    # softmax max gives them, or rounded to force ties
+    length, budget = {"needle-grid": (2000, 1024), "score-64k": (65536, 8192)}[shape]
+    values = _rng(length + ties).random(length - 4) ** 8
+    if ties:
+        values = np.round(values, 2)
+    cfg = PoolingConfig(budget=budget)
+    got = context_allocate(_scores(values, 4), cfg, _context(length), 4)
+    want = window_loop_allocate(values, 4, budget, cfg.max_kernels, cfg.avg_kernels, length)
+    assert got.indices == want
+
+
+def test_a_take_batch_stays_within_its_bound(monkeypatch):
+    # the top-up ranks every window of the scores; its batches grow four
+    # times over but never past BATCH indices
+    monkeypatch.setattr(allocator, "BATCH", 1000)
+    vec = _scores(_rng(6).random(20_000), 4)
+    sizes = [len(batch) for batch in pooled_ranking(vec, vec.values, 1, 1)]
+    assert sizes[:3] == [allocator.FIRST_WINDOWS, 4 * allocator.FIRST_WINDOWS, 1000]
+    assert max(sizes) == 1000 and sum(sizes) == 20_000
+    avgs = allocator.WindowMeans(allocator._max_pool(vec.values, 8)).mean(16)
+    assert max(len(batch) for batch in pooled_ranking(vec, avgs, 8, 16)) <= 1000
 
 
 def test_remainder_spread_over_earliest_combinations():

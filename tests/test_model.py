@@ -1,7 +1,11 @@
 """Model core: seeded weights, rotary encoding, masked attention, block step."""
 
+import contextlib
+import ctypes
 import math
+import os
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -26,6 +30,7 @@ from ctxpress.model import (
     masked_attention,
     run_parts,
     save_weights,
+    worker_scope,
 )
 from ctxpress.prefill import build_lambda_mask
 from reference import dense_softmax_attention, reference_block_forward, rotate_pairs
@@ -275,6 +280,70 @@ def test_run_parts_inside_a_part_starts_no_thread(monkeypatch):
     # the flag is gone once the parts are done: the next call gets its thread
     assert run_parts(lambda j: threading.get_ident(), 2)[1] != threading.get_ident()
     assert len(starts) == 2
+
+
+def _counted_pools(monkeypatch):
+    made = []
+
+    class Counted(model.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(model, "ThreadPoolExecutor", Counted)
+    return made
+
+
+def test_worker_scope_runs_every_call_on_one_pool(monkeypatch):
+    # three multi-part calls in one scope share one pool, grown once for
+    # the call that needs three threads; its threads are gone after the scope
+    made = _counted_pools(monkeypatch)
+    before = threading.active_count()
+    with worker_scope():
+        seen = [run_parts(lambda j: threading.get_ident(), parts) for parts in (2, 2, 4)]
+        with worker_scope():  # a nested scope is part of the outer one
+            run_parts(lambda j: j, 3)
+        assert threading.active_count() > before
+    assert len(made) == 2 and seen[0][1] == seen[1][1]
+    assert threading.active_count() == before
+    # outside a scope, each call makes and joins a pool of its own
+    assert run_parts(lambda j: j, 2) == [0, 1]
+    assert len(made) == 3 and threading.active_count() == before
+
+
+@pytest.mark.parametrize("scoped", [False, True])
+@pytest.mark.parametrize("failing", [0, 1])
+def test_failed_part_surfaces_after_every_part_finished(scoped, failing):
+    # the failing part raises at once while the other one still sleeps
+    done = []
+
+    def task(j):
+        if j == failing:
+            raise FloatingPointError(f"part {j} failed")
+        time.sleep(0.05)
+        done.append(j)
+        return j
+
+    with (worker_scope() if scoped else contextlib.nullcontext()):
+        with pytest.raises(FloatingPointError):
+            run_parts(task, 2)
+        assert done == [1 - failing]
+        # the scope's pool still serves the next call
+        assert run_parts(lambda j: j, 2) == [0, 1]
+
+
+def test_the_suite_runs_one_blas_thread():
+    # conftest sets these before numpy loads; the engine's threads each call
+    # BLAS, and numpy's bundled OpenBLAS reads them once, when it loads
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        assert os.environ[var] == "1"
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    lib = next(libs.glob("libscipy_openblas*.so"), None)
+    if lib is None:
+        pytest.skip("numpy without a bundled scipy-openblas")
+    threads = ctypes.CDLL(str(lib)).scipy_openblas_get_num_threads64_
+    threads.restype, threads.argtypes = ctypes.c_int, []
+    assert threads() == 1
 
 
 def test_lambda_kernel_rejects_fewer_keys_than_queries(rng):

@@ -6,14 +6,16 @@ import warnings
 import numpy as np
 import pytest
 
+from ctxpress import needles
 from ctxpress.allocator import PoolingConfig
-from ctxpress.codec import decode
+from ctxpress.codec import Vocab, decode, encode
 from ctxpress.needles import (
     KEY_WORDS,
     FillerTooShort,
     NeedleTaskSpec,
     RecallReport,
     cell_rng,
+    default_filler,
     evaluate_recall,
     generate_needle_instance,
     select_retrieval_layer,
@@ -122,6 +124,48 @@ def test_filler_cycles_with_warning():
         inst = generate_needle_instance(spec, 5, 6, cell_rng(1, 5, 6))
     assert any(issubclass(w.category, FillerTooShort) for w in caught)
     assert len(inst.context) == 600
+
+
+def _filler_ids_encoding_each_time(corpus, needed, vocab, memo):
+    # the filler step as it was before the corpus was cached
+    base = encode(corpus, vocab, memo).ids
+    if len(base) >= needed:
+        return base[:needed]
+    marker = encode(needles.CYCLE_MARKER, vocab, memo).ids
+    ids = list(base)
+    while len(ids) < needed:
+        ids.extend(marker)
+        ids.extend(base)
+    return ids[:needed]
+
+
+@pytest.mark.parametrize("length", [400, 2000])  # 2,000 cycles the filler
+def test_filler_is_tokenized_once_with_the_same_memo(monkeypatch, length):
+    # every instance fills its memo from the one tokenized corpus, in the
+    # order encode would have written it, so the needle's and query's
+    # entries still win every hash collision; the corpus is encoded once
+    task = NeedleTaskSpec(length=length, key_digits=(6, 24), seed=9)
+    vocab = Vocab(size=512)  # small, so filler pieces collide with the needle's
+    cells = ((0, 6), (7, 24), (19, 6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", FillerTooShort)
+        with monkeypatch.context() as patched:
+            patched.setattr(needles, "_filler_ids", _filler_ids_encoding_each_time)
+            want = [generate_needle_instance(task, d, k, cell_rng(9, d, k), vocab)
+                    for d, k in cells]
+        needles._encoded_corpus.cache_clear()
+        encoded = []
+
+        def recorded(text, *args):
+            encoded.append(text)
+            return encode(text, *args)
+
+        monkeypatch.setattr(needles, "encode", recorded)
+        got = [generate_needle_instance(task, d, k, cell_rng(9, d, k), vocab) for d, k in cells]
+    for a, b in zip(got, want):
+        assert a.context.ids == b.context.ids
+        assert list(a.memo.items()) == list(b.memo.items())
+    assert encoded.count(default_filler()) == 1
 
 
 def test_needle_must_fit():

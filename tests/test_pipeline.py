@@ -2,9 +2,11 @@
 
 import csv
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ctxpress import pipeline, prefill
+from ctxpress import model, pipeline, prefill
 from ctxpress.allocator import PoolingConfig, query_context_scores, reduce_scores
 from ctxpress.codec import TokenSeq
 from ctxpress.model import DimensionMismatch, ModelSpec, build_model
@@ -148,6 +150,61 @@ def test_compress_equals_oracle_scores_then_naive_allocate(tiny_weights, sink, w
                                             window, chunk)
         ref = reduce_scores(query_context_scores(q_ref, k_ref), sink)
     assert np.abs(scores.values - ref.values).max() < 1e-5
+
+
+def test_one_compress_runs_on_one_pool(tiny_weights, monkeypatch):
+    # needle-grid's shape: a one-segment prefill whose Lambda attention and
+    # scoring heads make many two-part calls, all on one pool that is
+    # joined before run_compress returns; the indices are one CPU's
+    ctx, query = _seq(2000), _seq(40, seed=2)
+    cfg = PoolingConfig(budget=256)
+    stream = StreamConfig(retrieval_layer=3)
+    monkeypatch.setattr(model, "_CPUS", 1)
+    want = run_compress(tiny_weights, stream, cfg, ctx, query)
+    made, starts = [], []
+    start = threading.Thread.start
+
+    class Counted(model.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    def counted(self):
+        starts.append(self)
+        start(self)
+
+    monkeypatch.setattr(model, "_CPUS", 2)
+    monkeypatch.setattr(model, "ThreadPoolExecutor", Counted)
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    before = threading.active_count()
+    got = run_compress(tiny_weights, stream, cfg, ctx, query)
+    assert len(made) == 1 and len(starts) == 1
+    assert threading.active_count() == before
+    assert got.allocation.indices == want.allocation.indices
+    assert got.cost.dot_products == want.cost.dot_products
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_compress_in_a_child_forked_after_a_compress(tiny_weights, monkeypatch):
+    # the compress's pool is joined when it returns, so the child inherits
+    # no pool whose threads it lacks
+    ctx, query = _seq(2000), _seq(40, seed=2)
+    cfg = PoolingConfig(budget=256)
+    monkeypatch.setattr(model, "_CPUS", 2)
+    want = run_compress(tiny_weights, StreamConfig(retrieval_layer=2), cfg, ctx, query)
+
+    def child():
+        got = run_compress(tiny_weights, StreamConfig(retrieval_layer=2), cfg, ctx, query)
+        os._exit(0 if got.allocation.indices == want.allocation.indices else 1)
+
+    proc = multiprocessing.get_context("fork").Process(target=child)
+    proc.start()
+    proc.join(timeout=30)
+    if proc.is_alive():
+        proc.kill()
+        proc.join()
+        pytest.fail("run_compress hung in the forked child")
+    assert proc.exitcode == 0
 
 
 def test_deterministic_end_to_end(tiny_weights):
