@@ -6,9 +6,7 @@ query rows, sink excluded).  The allocator then spreads the token budget
 evenly across every (max kernel, avg kernel) combination, ranking pooled
 windows per combination and deduplicating as it goes.  With a single size-1
 max kernel and a single size-1 avg kernel this degenerates to plain top-k
-over raw scores.
-
-All tie-breaks prefer the lower index, so results are reproducible.
+over raw scores.  All tie-breaks prefer the lower index.
 """
 
 from __future__ import annotations
@@ -90,12 +88,12 @@ def query_context_scores(
 
     query_states: (H, L_q, d_h); full_k: (H, L, d_h).  No causal
     restriction: the whole context precedes the query.  The heads are
-    dealt round-robin to n = min(H, usable CPUs) threads, the caller's
-    among them (``run_parts``); head h walks its query rows through
-    ``block[h]`` of one (H, r, L) buffer, r = min(L_q, max(8, SCORE_BLOCK //
-    (H*L))), and keeps its running maxima in row h of an (H, L) array.  Each
-    row's softmax spans all L columns and max is exact, so the result does
-    not depend on the blocking or the threads.  Returns the (L,) maxima.
+    dealt round-robin to min(H, usable CPUs) parts (``run_parts``); head h
+    walks its query rows through ``block[h]`` of one (H, r, L) buffer,
+    r = min(L_q, max(8, SCORE_BLOCK // (H*L))), keeping its running maxima
+    in row h of an (H, L) array.  Each row's softmax spans all L columns
+    and max is exact, so the result does not depend on the blocking or the
+    threads.  Returns the (L,) maxima.
     """
     heads, query_len, d_h = query_states.shape
     if full_k.ndim != 3 or full_k.shape[0] != heads or full_k.shape[2] != d_h:
@@ -160,15 +158,13 @@ class WindowMeans:
     ``mean(n)`` is ``sliding_window_view(pooled, min(n, len(pooled))).mean(-1)``,
     bit for bit.
 
-    For n up to 16 over a pool at least that long, the window
-    sums are added from shifted slices as numpy's ``pairwise_sum`` adds
-    them: in sequence below 8 entries; from 8 to 16 in eight accumulators
-    r_j (r_j = p_j, or p_j + p_(j+8) at 16) combined as
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest in sequence.  The
-    sums of n entries extend those of n - 1 by one slice, in place, so
-    asked in ascending order the 16 kernels take 20 vector adds in place of
-    120 and hold one running sum.  Other kernels, and every kernel of a
-    shorter pool, reduce their own windows.
+    For n up to 16 over a pool at least that long, the window sums are
+    added from shifted slices in numpy's ``pairwise_sum`` order: in
+    sequence below 8 entries; from 8 to 16 in eight accumulators r_j (p_j,
+    or p_j + p_(j+8) at 16) combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+    then the rest in sequence.  Asked in ascending order, each n extends
+    the running sums of n - 1 by one slice, in place.  Other kernels, and
+    every kernel of a shorter pool, reduce their own windows.
     """
 
     def __init__(self, pooled: np.ndarray) -> None:
@@ -224,14 +220,11 @@ def pooled_ranking(
     absolute context indices.
 
     ``avgs`` holds the combination's window means, ``WindowMeans(
-    _max_pool(scores.values, m)).mean(n)``.  Windows are ranked in pooled
-    space by descending mean, ties to the lower position, at most
-    ``max_windows`` of them, and visited best-first; inside a window,
-    offsets ascend.  Overlapping windows share buckets: a batch lists each
-    index once, where its first window has it (a scatter of the batch's
-    bucket positions, in reverse, into one int64 array).  A later batch
-    may list an index again.  Only the windows of the batches a caller
-    draws get ranked.
+    _max_pool(scores.values, m)).mean(n)``.  Windows are ranked by
+    descending mean, ties to the lower position, at most ``max_windows``
+    of them, best first; inside a window, offsets ascend.  A batch lists
+    each index once, where its first window has it; a later batch may list
+    it again.  Only the windows of the batches a caller draws get ranked.
     """
     length = len(scores.values)
     if length == 0:
@@ -263,9 +256,7 @@ def pooled_ranking(
 def _take(batches: Iterator[np.ndarray], free: np.ndarray, need: int) -> int:
     """Take the first ``need`` indices still ``free`` from the ranked
     ``batches``, in stream order, and clear them in ``free``; returns how
-    many were taken (fewer if the batches run out).  A batch lists each
-    index once, so one mask read takes it; an index an earlier batch
-    listed is no longer free, since that batch was taken whole."""
+    many were taken (fewer if the batches run out)."""
     taken = 0
     for batch in batches:
         new = batch[free[batch]][:need - taken]

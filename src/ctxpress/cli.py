@@ -47,6 +47,23 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--vocab", type=int, default=32768)
 
 
+def _add_stream_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--sink", type=int, default=4)
+    parser.add_argument("--window", type=int, default=512)
+    parser.add_argument("--chunk", type=int, default=1024)
+
+
+def _add_kernel_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--max-kernels", default="2,4,8")
+    parser.add_argument("--avg-kernels", default="1:16")
+
+
+def _pooling(args: argparse.Namespace) -> PoolingConfig:
+    return PoolingConfig(max_kernels=tuple(parse_int_list(args.max_kernels)),
+                         avg_kernels=tuple(parse_int_list(args.avg_kernels)),
+                         budget=args.budget)
+
+
 def _load_model(args: argparse.Namespace):
     if args.weights:
         return load_weights(args.weights)
@@ -65,10 +82,7 @@ def cmd_compress(args: argparse.Namespace) -> int:
     weights = _load_model(args)
     stream = StreamConfig(sink=args.sink, window=args.window, chunk=args.chunk,
                           retrieval_layer=args.layer)
-    pooling = PoolingConfig(max_kernels=tuple(parse_int_list(args.max_kernels)),
-                            avg_kernels=tuple(parse_int_list(args.avg_kernels)),
-                            budget=args.budget)
-    stream.validate(weights.spec.layers)
+    pooling = _pooling(args)
     vocab = Vocab(size=weights.spec.vocab)
     with open(args.context, encoding="utf-8") as fh:
         context = encode(fh.read(), vocab)
@@ -91,18 +105,14 @@ def cmd_select_layer(args: argparse.Namespace) -> int:
                           key_digits=tuple(parse_int_list(args.key_digits)),
                           seed=args.seed, budget=args.budget)
     stream = StreamConfig(sink=args.sink, window=args.window, chunk=args.chunk)
-    layers = parse_int_list(args.layers)
-    pooling = PoolingConfig(max_kernels=tuple(parse_int_list(args.max_kernels)),
-                            avg_kernels=tuple(parse_int_list(args.avg_kernels)),
-                            budget=args.budget)
-    selected, report = select_retrieval_layer(weights, task, layers, pooling, stream)
+    selected, report = select_retrieval_layer(weights, task, parse_int_list(args.layers),
+                                              _pooling(args), stream)
     payload = report.to_json({"length": task.length, "key_digits": list(task.key_digits),
                               "segments": task.segments, "seed": task.seed,
                               "budget": task.budget})
     _write_json(args.out, payload)
-    means = {layer: report.layer_mean(layer) for layer in report.layers()}
-    print("mean recall per layer: " +
-          ", ".join(f"{layer}: {mean:.3f}" for layer, mean in sorted(means.items())))
+    print("mean recall per layer: " + ", ".join(
+        f"{layer}: {report.layer_mean(layer):.3f}" for layer in report.layers()))
     print(f"selected retrieval layer {selected} -> {args.out}")
     return 0
 
@@ -111,11 +121,8 @@ def cmd_needle_gen(args: argparse.Namespace) -> int:
     spec = NeedleTaskSpec(length=args.length, key_digits=(args.key_digits,), seed=args.seed)
     rng = cell_rng(args.seed, args.depth, args.key_digits)
     instance = generate_needle_instance(spec, args.depth, args.key_digits, rng)
-    payload = instance.to_json()
-    payload["length"] = args.length
-    payload["depth"] = args.depth
-    payload["seed"] = args.seed
-    _write_json(args.out, payload)
+    _write_json(args.out, {**instance.to_json(), "length": args.length, "depth": args.depth,
+                           "seed": args.seed})
     span = instance.needle_span
     print(f"needle '{instance.key_id}' = {instance.passkey} at tokens "
           f"[{span.start}, {span.end}) -> {args.out}")
@@ -124,12 +131,10 @@ def cmd_needle_gen(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     weights = _load_model(args)
-    lengths = parse_int_list(args.lengths)
     stream = StreamConfig(sink=args.sink, window=args.window, chunk=args.chunk,
                           retrieval_layer=args.layer)
-    pooling = PoolingConfig(budget=args.budget)
-    stream.validate(weights.spec.layers)
-    result = bench_scaling(weights, stream, pooling, lengths, runs=args.runs,
+    result = bench_scaling(weights, stream, PoolingConfig(budget=args.budget),
+                           parse_int_list(args.lengths), runs=args.runs,
                            full_attention=args.full_attention)
     result.write_csv(args.out)
     slope, intercept, r2 = result.time_fit
@@ -151,11 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", required=True, help="UTF-8 text file with the query part")
     p.add_argument("--budget", type=int, default=4096)
     p.add_argument("--layer", type=int, default=1, help="retrieval layer (1-based)")
-    p.add_argument("--sink", type=int, default=4)
-    p.add_argument("--window", type=int, default=512)
-    p.add_argument("--chunk", type=int, default=1024)
-    p.add_argument("--max-kernels", default="2,4,8")
-    p.add_argument("--avg-kernels", default="1:16")
+    _add_stream_args(p)
+    _add_kernel_args(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compress)
 
@@ -166,11 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=1024)
     p.add_argument("--layers", required=True, help="candidate layers, e.g. 1:4")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sink", type=int, default=4)
-    p.add_argument("--window", type=int, default=512)
-    p.add_argument("--chunk", type=int, default=1024)
-    p.add_argument("--max-kernels", default="2,4,8")
-    p.add_argument("--avg-kernels", default="1:16")
+    _add_stream_args(p)
+    _add_kernel_args(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_select_layer)
 
@@ -187,9 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lengths", default="8192,16384,32768,65536")
     p.add_argument("--budget", type=int, default=1024)
     p.add_argument("--layer", type=int, default=2, help="retrieval layer (1-based)")
-    p.add_argument("--sink", type=int, default=4)
-    p.add_argument("--window", type=int, default=512)
-    p.add_argument("--chunk", type=int, default=1024)
+    _add_stream_args(p)
     p.add_argument("--runs", type=int, default=3)
     p.add_argument("--full-attention", action="store_true",
                    help="window = context length (no eviction baseline)")

@@ -89,74 +89,46 @@ class Weights:
 
 
 #: usable CPUs, the thread count of query scoring, context prefill and Λ
-#: attention; read at call time, so one rebinding reaches every caller
+#: attention; read at call (or scope) time, so one rebinding reaches all
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 #: on each thread: ``in_part`` is true while it runs a part of a
-#: multi-part call, ``workers`` is its open ``worker_scope``
+#: multi-part call, ``pool`` is the pool of its open ``worker_scope``
 _PARTS = threading.local()
 
 
 def _free_cpus() -> int:
-    """CPUs that a multi-part call made on this thread can use: only its
-    own inside a part of a multi-part call, whose parts hold the others."""
+    """CPUs a multi-part call made on this thread can use: one in a part."""
     return 1 if getattr(_PARTS, "in_part", False) else _CPUS
-
-
-class _Workers:
-    """The one thread pool of a worker scope: started on first need,
-    replaced by a bigger one when a call needs more threads."""
-
-    def __init__(self) -> None:
-        self._pool: ThreadPoolExecutor | None = None
-        self._size = 0
-
-    def pool(self, size: int) -> ThreadPoolExecutor:
-        if size > self._size:
-            self.close()
-            # the pool starts a thread only on a submit that finds none idle
-            self._pool, self._size = ThreadPoolExecutor(size), size
-        return self._pool
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool, self._size = None, 0
 
 
 @contextmanager
 def worker_scope():
-    """Run the multi-part ``run_parts`` calls this thread makes inside the
-    block on one pool, which is joined when the block returns or raises, so
-    no pool outlives it and a child forked after it never inherits a pool
-    whose threads it lacks.  A scope inside another one is part of it."""
-    if getattr(_PARTS, "workers", None) is not None:
+    """Run the ``run_parts`` calls this thread makes in the block on one pool
+    of ``_CPUS - 1`` threads, started on demand and joined when the block
+    exits, so no pool outlives it and a child forked after it never inherits
+    a pool whose threads it lacks.  A nested scope is part of the outer one."""
+    if getattr(_PARTS, "pool", None) is not None:
         yield
         return
-    _PARTS.workers = workers = _Workers()
     try:
-        yield
+        with ThreadPoolExecutor(max(1, _CPUS - 1)) as _PARTS.pool:
+            yield
     finally:
-        _PARTS.workers = None
-        workers.close()
+        _PARTS.pool = None
 
 
 def run_parts(task, parts: int) -> list:
     """``[task(0), ..., task(parts - 1)]``, part 0 on the calling thread and
-    the others on the pool of the thread's ``worker_scope``, or of a scope
-    opened for this call; one part starts no thread.  A call made from
-    inside a part of a multi-part call runs its parts inline, one after
-    another, since the outer parts already hold the cores: segmented
-    prefill's attention stays on its segment's thread, while a one-segment
-    prefill's attention gets the cores.  Every part has finished before
+    the others on the pool of the thread's ``worker_scope`` (or of a scope
+    opened for this call); one part starts no thread, and a call made from
+    inside a part runs its parts inline.  Every part has finished before
     this returns or raises the first failure, so no thread still writes
-    into shared buffers once an error propagates.  Threads beyond the
-    caller's each keep a malloc arena, so using the caller saves one
-    arena's worth of peak memory."""
+    into shared buffers once an error propagates."""
     if parts <= 1 or getattr(_PARTS, "in_part", False):
         return [task(i) for i in range(parts)]
-    workers = getattr(_PARTS, "workers", None)
-    if workers is None:
+    pool = getattr(_PARTS, "pool", None)
+    if pool is None:
         with worker_scope():
             return run_parts(task, parts)
 
@@ -167,7 +139,6 @@ def run_parts(task, parts: int) -> list:
         finally:
             _PARTS.in_part = False
 
-    pool = workers.pool(parts - 1)
     tasks = []
     try:
         for i in range(1, parts):
@@ -226,9 +197,8 @@ def rms_norm(x: np.ndarray, gain: np.ndarray, eps: float = 1e-6) -> np.ndarray:
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    # tanh approximation, standard in decoder stacks: 0.5 * x * (1 + tanh(
-    # sqrt(2/pi) * (x + 0.044715 * x^3))), the same operations in the same
-    # order, in one buffer instead of a temporary per step
+    # tanh approximation 0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 *
+    # x^3))): the expression's operations in its order, in one buffer
     y = x * x
     y *= x
     y *= 0.044715
@@ -311,18 +281,12 @@ def masked_attention(
     array, or None for the Lambda mask: all C = T_k - T_q cached columns,
     then causal columns among the T_q new rows (row r allows C + r + 1).
     Disallowed columns are -inf before the softmax.  A dense mask is one
-    block of all rows.  The Lambda mask is walked in ``ROW_BLOCK``-row
-    blocks, each scoring only the columns up to its last row's diagonal, so
-    neither a dense mask nor an (H, T_q, T_k) score tensor is built.  The
-    blocks are dealt to min(usable CPUs, blocks) contiguous groups of
-    near-equal rows x columns (plus a fixed cost per block) and run by
-    ``run_parts``; called from inside a part, as in segmented prefill, they
-    make one group on that part's thread.  Each group scores its blocks
-    through one buffer of its own and writes only its own rows of the
-    output, and every block does the same operations on any number of
-    groups, so the result does not depend on the grouping.
-    Raises EmptyRow if a dense mask row allows nothing.  ``return_probs``
-    (dense mask only) also returns the (H, T_q, T_k) probabilities.
+    block of all rows; the Lambda mask's ``ROW_BLOCK``-row blocks, each up
+    to its diagonal, are dealt to contiguous groups, one per free CPU
+    (``run_parts``), each writing its own rows through its own buffer, so
+    the result does not depend on the grouping.  Raises EmptyRow if a dense
+    mask row allows nothing; ``return_probs`` (dense mask only) also returns
+    the (H, T_q, T_k) probabilities.
     """
     t_q, t_k = q.shape[1], k.shape[1]
     if mask is None:
@@ -388,44 +352,41 @@ def rotary_tables(weights: Weights, positions: np.ndarray) -> tuple[np.ndarray, 
     return _rotary_tables(positions, weights.spec.head_dim, weights.spec.rope_base)
 
 
-def project_queries(weights: Weights, layer: int, x: np.ndarray, positions: np.ndarray,
-                    rotary: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+def project_queries(weights: Weights, layer: int, x: np.ndarray,
+                    rotary: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Rotary-encoded query states of layer ``layer`` (1-based) for input x
-    (T, d); ``rotary`` is ``rotary_tables(weights, positions)``, if the
-    caller has them."""
+    (T, d); ``rotary`` is ``rotary_tables(weights, positions)``."""
     lw = weights.layers[layer - 1]
     q = _split_heads(rms_norm(x, lw.attn_gain) @ lw.wq.astype(np.float64), weights.spec.heads)
-    return _rotate(q, *(rotary or rotary_tables(weights, positions)))
+    return _rotate(q, *rotary)
 
 
-def project_keys(weights: Weights, layer: int, x: np.ndarray, positions: np.ndarray,
-                 rotary: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+def project_keys(weights: Weights, layer: int, x: np.ndarray,
+                 rotary: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Rotary-encoded key states of layer ``layer`` (1-based) for input x
     (T, d); ``rotary`` as for ``project_queries``."""
     lw = weights.layers[layer - 1]
     k = _split_heads(rms_norm(x, lw.attn_gain) @ lw.wk.astype(np.float64), weights.spec.heads)
-    return _rotate(k, *(rotary or rotary_tables(weights, positions)))
+    return _rotate(k, *rotary)
 
 
 def layer_forward(
     weights: Weights,
     layer: int,
     x: np.ndarray,
-    positions: np.ndarray,
+    rotary: tuple[np.ndarray, np.ndarray],
     mask: np.ndarray | None,
     cache_k: np.ndarray | None = None,
     cache_v: np.ndarray | None = None,
-    rotary: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One pre-norm decoder block over new tokens against an optional KV cache.
+    """One pre-norm decoder block (``layer`` 1-based) over new tokens x
+    (T, d) against an optional (H, C, d_h) KV cache, attended before them.
 
-    ``layer`` is 1-based.  ``x`` is (T, d); cached keys/values are
-    (H, C, d_h) and are attended before the new tokens.  ``mask`` is a dense
-    (T, C + T) mask, or None for the Lambda mask (see ``masked_attention``).
-    ``rotary`` is ``rotary_tables(weights, positions)``, if the caller has
-    them.  Returns the block output plus the attended rotary-encoded keys
-    and raw values: the C cached rows followed by the T new rows, in fresh
-    arrays.
+    ``rotary`` is ``rotary_tables(weights, positions)`` of the new tokens;
+    ``mask`` is a dense (T, C + T) mask, or None for the Lambda mask (see
+    ``masked_attention``).  Returns the block output plus the attended
+    rotary-encoded keys and raw values: the C cached rows followed by the T
+    new rows, in fresh arrays.
     """
     spec = weights.spec
     t = x.shape[0]
@@ -435,7 +396,6 @@ def layer_forward(
         return x.copy(), k.copy(), v.copy()
     lw = weights.layers[layer - 1]
     x_norm = rms_norm(x, lw.attn_gain)
-    rotary = rotary or rotary_tables(weights, positions)
     q, k, v = (_split_heads(x_norm @ w.astype(np.float64), spec.heads)
                for w in (lw.wq, lw.wk, lw.wv))
     q, k = _rotate(q, *rotary), _rotate(k, *rotary)
@@ -452,10 +412,8 @@ def layer_forward(
     return y, k_all, v_all
 
 
-# ---------------------------------------------------------------------------
-# binary weight file: magic "ILRW", version u16, little-endian header + f32
-# blocks in declaration order
-# ---------------------------------------------------------------------------
+# binary weight file: magic "ILRW", version u16, little-endian header, then
+# the f32 blocks in declaration order
 
 _HEADER = struct.Struct("<IIIIIQd")  # vocab, dim, heads, layers, ffn, seed, rope_base
 

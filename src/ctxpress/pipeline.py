@@ -218,10 +218,9 @@ def bench_scaling(
 
     ``full_attention=True`` widens the window to the context length, turning
     the engine into the no-eviction full-KV baseline.  Wall time per length
-    is the median of ``runs`` runs.  The lengths are timed round-robin (run
-    r of every length before run r+1), after one untimed warm-up call, with
-    garbage collected before and switched off during each timed call, so
-    drift in the host's speed spreads evenly over the lengths.
+    is the median of ``runs`` runs, timed round-robin over the lengths after
+    one untimed warm-up call, with garbage collected before and switched off
+    during each timed call, so drift in the host's speed spreads evenly.
     """
     if runs < 1:
         raise ValueError(f"need >= 1 run, got {runs}")

@@ -7,8 +7,7 @@ pair of at most ``sink + window`` rows, the sink first, then the window.
 The retrieval layer stores keys only, full length, in a preallocated
 buffer.  Positions are absolute token indices throughout -- window
 survivors keep the positions they were encoded with.  Context prefill
-splits a long context into up to one segment of chunks per usable CPU and
-walks them on threads, bit for bit as one serial walk would.
+walks up to one segment of chunks per usable CPU, bit for bit the serial walk.
 """
 
 from __future__ import annotations
@@ -73,32 +72,10 @@ class StreamCache:
         return low, self.length
 
 
-def build_lambda_mask(chunk_len: int, cached: int) -> np.ndarray:
-    """Allow all ``cached`` (sink and window) columns plus causal columns
-    within the chunk.
-
-    Columns are ordered cached rows, then the chunk (ascending); row r of the
-    chunk allows cached + (r+1) columns.  This is the dense form of the mask
-    the chunk step applies without building it (``mask=None`` in
-    ``layer_forward``).
-    """
-    if chunk_len < 1 or cached < 0:
-        raise ValueError("invalid mask dimensions")
-    mask = np.zeros((chunk_len, cached + chunk_len), dtype=bool)
-    mask[:, :cached] = True
-    mask[:, cached:] = np.tril(np.ones((chunk_len, chunk_len), dtype=bool))
-    return mask
-
-
 def _chunk_bounds(total: int, chunk: int, sink: int) -> list[tuple[int, int]]:
     # first chunk is chunk+sink tokens, the rest are chunk, last may be short
-    bounds = [(0, min(total, chunk + sink))]
-    pos = bounds[0][1]
-    while pos < total:
-        nxt = min(total, pos + chunk)
-        bounds.append((pos, nxt))
-        pos = nxt
-    return bounds
+    first = min(total, chunk + sink)
+    return [(0, first), *((a, min(total, a + chunk)) for a in range(first, total, chunk))]
 
 
 def _prefill_chunks(
@@ -112,37 +89,31 @@ def _prefill_chunks(
     sink_len: int,
     counter: OpCounter | None,
 ):
-    """The one chunk step of context and query prefill.
-
-    Embeds each ``(start, end)`` chunk of ``ids`` in ``walk`` (ascending;
-    see ``_chunk_bounds``), runs it through layers 1..l_R-1 against each
-    layer's cached rows, and, for the chunks from ``walk[owned]`` on, yields
-    ``(start, end, x, positions, rotary)`` with ``x`` the chunk's input to
-    the retrieval layer and ``rotary`` the chunk's rotary tables, built
-    once for every layer.  Each entry of ``layers`` is rebound to the attended
-    rows, trimmed to the first ``sink_len`` and the last ``window`` rows; no
-    array is mutated.  ``counter`` gains the Lambda mask's dot products of
-    the yielded chunks, ``cached*T + T(T+1)/2`` per chunk of T tokens and
-    lower layer.
+    """The one chunk step of context and query prefill: runs each
+    ``(start, end)`` chunk of ``ids`` in ``walk`` (ascending) through layers
+    1..l_R-1 against each layer's cached rows and, from ``walk[owned]`` on,
+    yields ``(start, end, x, rotary)``, the chunk's input to the retrieval
+    layer and its rotary tables.  Each entry of ``layers`` is rebound to
+    the attended rows, trimmed to the first ``sink_len`` and the last
+    ``window``; no array is mutated.  ``counter`` gains the yielded chunks'
+    ``cached*T + T(T+1)/2`` dot products per chunk of T tokens and layer.
     """
     keep = sink_len + config.window
     for step, (start, end) in enumerate(walk):
         t = end - start
-        positions = np.arange(offset + start, offset + end, dtype=np.int64)
-        rotary = rotary_tables(weights, positions)
+        rotary = rotary_tables(weights, np.arange(offset + start, offset + end))
         x = embed(weights, ids[start:end])
         for i, (k, v) in enumerate(layers):
             cached = k.shape[1]
             if counter is not None and step >= owned:
                 counter.add(cached * t + t * (t + 1) // 2)
-            x, k, v = layer_forward(weights, i + 1, x, positions, None, cache_k=k, cache_v=v,
-                                    rotary=rotary)
+            x, k, v = layer_forward(weights, i + 1, x, rotary, None, cache_k=k, cache_v=v)
             if k.shape[1] > keep:
                 k = np.concatenate([k[:, :sink_len], k[:, -config.window:]], axis=1)
                 v = np.concatenate([v[:, :sink_len], v[:, -config.window:]], axis=1)
             layers[i] = (k, v)
         if step >= owned:
-            yield start, end, x, positions, rotary
+            yield start, end, x, rotary
 
 
 def _segment_count(chunks: int, warm: int) -> int:
@@ -160,31 +131,17 @@ def stream_prefill_context(
 ) -> StreamCache:
     """Run the context through layers below the retrieval layer in chunks,
     caching sink+window KV there and full-length keys at the retrieval layer.
-
     Hidden states above the retrieval layer are never computed.  If the
     context is shorter than the sink, the whole context becomes the sink.
 
-    The chunks are split into contiguous segments (``_segment_count``), run
-    by ``run_parts``: segment 0 on the calling thread, the others on a
-    thread pool made for this call.  With several segments each chunk's
-    attention runs inline on its segment's thread; one segment (a short
-    context) walks its chunks on the calling thread and leaves the cores to
-    its attention's row-block groups (``masked_attention``), while the
-    chunk walk and every key projection stay on the caller.  Each
-    segment's result is bit for bit the serial walk's, because a lower
-    layer's cache at a chunk boundary is rebuilt exactly from a few chunks
-    before it.  The cache holds the sink rows, which only chunk 0 writes,
-    and the last ``window`` rows.  Layer-1 keys and values of a chunk
-    depend on that chunk's tokens alone, so after m = ceil(window / chunk)
-    chunks the layer-1 cache holds the serial walk's rows, the chunks after
-    them get exact layer-1 outputs, and each further lower layer is exact m
-    chunks later.  A segment that owns chunks a.. therefore walks chunk 0, then
-    the warm = (l_R - 1) * m chunks before a (straight on from chunk 0 when
-    a - warm <= 1), and from chunk a on computes the serial walk's
-    ``full_k`` rows and caches with the same shapes and bits.  Each segment
-    writes its own rows of ``full_k`` and counts only the chunks it owns;
-    the cache keeps the last segment's layers.  A failing segment raises
-    once every segment has finished.
+    Contiguous segments of chunks (``_segment_count``) run by ``run_parts``,
+    each bit for bit the serial walk's: a lower layer's cache holds the sink
+    rows, written by chunk 0 only, and the last ``window`` rows, so it is
+    exact m = ceil(window / chunk) chunks after the layer below it.  A
+    segment owning chunks a.. walks chunk 0 and the warm = (l_R - 1) * m
+    chunks before a, then writes its rows of ``full_k``, counting only its
+    own chunks; the cache keeps the last segment's layers.  A failing
+    segment raises once every segment is done.
     """
     spec = weights.spec
     config.validate(spec.layers)
@@ -206,9 +163,9 @@ def stream_prefill_context(
         empty = np.zeros((spec.heads, 0, spec.head_dim))
         layers = [(empty, empty)] * (lr - 1)
         own = OpCounter()
-        for start, end, x, positions, rotary in _prefill_chunks(
+        for start, end, x, rotary in _prefill_chunks(
                 weights, config, layers, ids, 0, walk, len(walk) - (b - a), sink_len, own):
-            full_k[:, start:end] = project_keys(weights, lr, x, positions, rotary)
+            full_k[:, start:end] = project_keys(weights, lr, x, rotary)
         return layers, own.dot_products
 
     results = run_parts(run_segment, segments)
@@ -228,10 +185,9 @@ def prefill_query_part(
     """Run the query tokens over the context caches and return the
     rotary-encoded query states (H, L_q, d_h) at the retrieval layer.
 
-    Query chunks are ``chunk`` tokens from position L.  The chunk step works
-    on a copy of the list of cached pairs, so query rows join the window (a
-    multi-chunk query stays causal with itself) while the context cache is
-    left as it was.
+    Query chunks are ``chunk`` tokens from position L.  They run on a copy
+    of the list of cached pairs, so query rows join the window (a
+    multi-chunk query stays causal with itself) and the cache is unchanged.
     """
     spec = weights.spec
     config.validate(spec.layers)
@@ -239,8 +195,8 @@ def prefill_query_part(
     if len(ids) == 0:
         raise EmptyQuery("query part has no tokens")
     lr = config.retrieval_layer
-    states = [project_queries(weights, lr, x, positions, rotary)
-              for _, _, x, positions, rotary in _prefill_chunks(
+    states = [project_queries(weights, lr, x, rotary)
+              for _, _, x, rotary in _prefill_chunks(
                   weights, config, list(cache.layers), ids, cache.length,
                   _chunk_bounds(len(ids), config.chunk, 0), 0, cache.sink_len, counter)]
     return np.concatenate(states, axis=1)

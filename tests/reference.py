@@ -1,15 +1,16 @@
 """Brute-force oracles kept independent of the code paths they check.
 
 The dense attention and block-forward routines here are written with plain
-loops and re-derived formulas; the monolithic pipeline runs every token at
-once with a single causal mask (no chunks, no eviction); the Lambda-mask
-pipeline runs every token at once under a dense mask built entry by entry
-from the chunk, sink and window rule; the serial block scorer walks every
-head's query rows together through one buffer, on one thread; the naive
-allocator follows the budget loop literally with python sets and lists, and
-the window-loop allocator ranks every window with numpy's own mean and takes
-the ranked windows one at a time; the serial prefill walks every context
-chunk in order on one thread.
+loops and re-derived formulas; ``build_lambda_mask`` is the dense mask of
+one chunk step; the monolithic pipeline runs every token at once with a
+single causal mask (no chunks, no eviction); the Lambda-mask pipeline runs
+every token at once under a dense mask built entry by entry from the chunk,
+sink and window rule; the serial block scorer walks every head's query rows
+together through one buffer, on one thread; the naive allocator follows the
+budget loop literally with python sets and lists, summing each window in
+numpy's pairwise order, and the window-loop allocator ranks every window
+with numpy's own mean and takes the ranked windows one at a time; the
+serial prefill walks every context chunk in order on one thread.
 """
 
 from __future__ import annotations
@@ -27,8 +28,21 @@ from ctxpress.model import (
     layer_forward,
     project_keys,
     project_queries,
+    rotary_tables,
     softmax_rows,
 )
+
+
+def build_lambda_mask(chunk_len: int, cached: int) -> np.ndarray:
+    """Dense (T, cached + T) form of the Lambda mask that ``masked_attention``
+    applies for ``mask=None``: every row allows all ``cached`` columns, and
+    row r of the chunk its first r + 1 chunk columns."""
+    if chunk_len < 1 or cached < 0:
+        raise ValueError("invalid mask dimensions")
+    mask = np.zeros((chunk_len, cached + chunk_len), dtype=bool)
+    mask[:, :cached] = True
+    mask[:, cached:] = np.tril(np.ones((chunk_len, chunk_len), dtype=bool))
+    return mask
 
 
 def dense_softmax_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
@@ -115,9 +129,11 @@ def monolithic_pipeline_scores(weights: Weights, retrieval_layer: int,
     positions = np.arange(total)
     mask = np.tril(np.ones((total, total), dtype=bool))
     for layer in range(1, retrieval_layer):
-        x, _, _ = layer_forward(weights, layer, x, positions, mask)
-    k_ctx = project_keys(weights, retrieval_layer, x[:length], positions[:length])
-    q_states = project_queries(weights, retrieval_layer, x[length:], positions[length:])
+        x, _, _ = layer_forward(weights, layer, x, rotary_tables(weights, positions), mask)
+    k_ctx = project_keys(weights, retrieval_layer, x[:length],
+                         rotary_tables(weights, positions[:length]))
+    q_states = project_queries(weights, retrieval_layer, x[length:],
+                               rotary_tables(weights, positions[length:]))
     attn = query_context_scores(q_states, k_ctx)
     return reduce_scores(attn, sink), k_ctx
 
@@ -189,9 +205,11 @@ def lambda_mask_pipeline(weights: Weights, retrieval_layer: int, ctx_ids: list[i
     x = embed(weights, ids)
     positions = np.arange(len(ids))
     for layer in range(1, retrieval_layer):
-        x, _, _ = layer_forward(weights, layer, x, positions, mask)
-    k_ctx = project_keys(weights, retrieval_layer, x[:length], positions[:length])
-    q_states = project_queries(weights, retrieval_layer, x[length:], positions[length:])
+        x, _, _ = layer_forward(weights, layer, x, rotary_tables(weights, positions), mask)
+    k_ctx = project_keys(weights, retrieval_layer, x[:length],
+                         rotary_tables(weights, positions[:length]))
+    q_states = project_queries(weights, retrieval_layer, x[length:],
+                               rotary_tables(weights, positions[length:]))
     return k_ctx, q_states
 
 
@@ -221,12 +239,14 @@ def serial_prefill(weights: Weights, ids: list[int], sink: int, window: int, chu
         x = embed(weights, ids[start:end])
         for i, (k, v) in enumerate(layers):
             counter.add(k.shape[1] * t + t * (t + 1) // 2)
-            x, k, v = layer_forward(weights, i + 1, x, positions, None, cache_k=k, cache_v=v)
+            x, k, v = layer_forward(weights, i + 1, x, rotary_tables(weights, positions), None,
+                                    cache_k=k, cache_v=v)
             if k.shape[1] > sink_len + window:
                 k = np.concatenate([k[:, :sink_len], k[:, k.shape[1] - window:]], axis=1)
                 v = np.concatenate([v[:, :sink_len], v[:, v.shape[1] - window:]], axis=1)
             layers[i] = (k, v)
-        full_k[:, start:end] = project_keys(weights, retrieval_layer, x, positions)
+        full_k[:, start:end] = project_keys(weights, retrieval_layer, x,
+                                            rotary_tables(weights, positions))
         start = end
     return full_k, layers, counter.dot_products
 
@@ -235,9 +255,37 @@ def naive_max_pool(values: list[float], size: int) -> list[float]:
     return [max(values[i:i + size]) for i in range(0, len(values), size)]
 
 
+def pairwise_sum(values: list[float]) -> float:
+    """Sum in the order of numpy's ``pairwise_sum``: in sequence below 8
+    values; up to 128 in eight accumulators r_j = v_j + v_(j+8) + ...
+    combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest in
+    sequence; above 128 split at half, rounded down to a multiple of 8."""
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    if n <= 128:
+        full = n - n % 8
+        acc = list(values[:8])
+        for i in range(8, full, 8):
+            acc = [a + v for a, v in zip(acc, values[i:i + 8])]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for v in values[full:]:
+            total += v
+        return total
+    half = n // 2
+    half -= half % 8
+    return pairwise_sum(values[:half]) + pairwise_sum(values[half:])
+
+
 def naive_avg_windows(pooled: list[float], size: int) -> list[float]:
+    """Each window's mean as numpy's ``mean`` takes it: its pairwise sum
+    over the window size, so tied windows tie as they do in numpy."""
     size = min(size, len(pooled))
-    return [sum(pooled[i:i + size]) / size for i in range(len(pooled) - size + 1)], size
+    return [pairwise_sum(pooled[i:i + size]) / size
+            for i in range(len(pooled) - size + 1)], size
 
 
 def naive_allocate(scores: np.ndarray, sink: int, budget: int,

@@ -26,6 +26,7 @@ from ctxpress.model import (
     embed,
     layer_forward,
     masked_attention,
+    rotary_tables,
 )
 from ctxpress.needles import NeedleTaskSpec, RecallReport, cell_rng, evaluate_recall, \
     generate_needle_instance
@@ -276,14 +277,14 @@ def test_criterion_8_numeric_core():
     ids = _philox(9, 9).integers(4, 32768, size=24)
     x = embed(weights, ids)
     positions = np.arange(24)
-    full, _, _ = layer_forward(weights, 2, x, positions,
+    full, _, _ = layer_forward(weights, 2, x, rotary_tables(weights, positions),
                                np.tril(np.ones((24, 24), dtype=bool)))
-    _, k_c, v_c = layer_forward(weights, 2, x[:16], positions[:16],
+    _, k_c, v_c = layer_forward(weights, 2, x[:16], rotary_tables(weights, positions[:16]),
                                 np.tril(np.ones((16, 16), dtype=bool)))
     tail_mask = np.hstack([np.ones((8, 16), dtype=bool),
                            np.tril(np.ones((8, 8), dtype=bool))])
-    chunked, _, _ = layer_forward(weights, 2, x[16:], positions[16:], tail_mask,
-                                  cache_k=k_c, cache_v=v_c)
+    chunked, _, _ = layer_forward(weights, 2, x[16:], rotary_tables(weights, positions[16:]),
+                                  tail_mask, cache_k=k_c, cache_v=v_c)
     assert np.abs(chunked - full[16:]).max() < 1e-5
     print(f"\nACCEPTANCE 8 PASS: softmax rows sum to 1 +/- 1e-5, rotary "
           f"invariance worst {worst:.2e} over 1000 draws, chunked == monolithic")

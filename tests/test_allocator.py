@@ -314,10 +314,20 @@ def test_shared_window_means_equal_numpys_mean(levels, kernels, jitter, seed):
         got = means.mean(n)
         assert np.array_equal(got, sliding_window_view(pooled, min(n, len(pooled))).mean(-1)), n
         naive, _ = naive_avg_windows(list(pooled), n)
-        if n < 8:  # python's sum adds in sequence too
-            assert np.array_equal(got, naive), n
-        else:
-            np.testing.assert_allclose(got, naive, rtol=1e-14, atol=0)
+        assert np.array_equal(got, naive), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=400),
+       size=st.integers(1, 400))
+@example(values=[0.1, 0.3] * 150, size=300)
+def test_pairwise_sum_oracle_is_numpys_window_sum(values, size):
+    # the naive allocator's window means must be numpy's, bit for bit,
+    # below 8 entries, up to 128 and past the split at 128
+    pooled = np.asarray(values)
+    want = sliding_window_view(pooled, min(size, len(pooled))).mean(-1)
+    got, _ = naive_avg_windows(values, size)
+    assert np.array_equal(np.asarray(got), want)
 
 
 @pytest.mark.parametrize("length, kernels", [(400, (17, 40, 16)), (15, (1, 8, 16)),
@@ -409,9 +419,13 @@ def test_matches_naive_reimplementation(rng):
        sink=st.integers(0, 5), budget=st.integers(0, 200),
        max_k=st.lists(st.integers(1, 9), min_size=1, max_size=3, unique=True),
        avg_k=st.lists(st.integers(1, 17), min_size=1, max_size=5, unique=True))
+@example(levels=[0.9, 0.1, 0.25, 0.25, 0.9, 0.25, 0.9, 0.1, 0.1, 0.1, 0.25, 0.9],
+         sink=0, budget=1, max_k=[1], avg_k=[11])
 def test_window_allocation_matches_naive_loop_with_ties(levels, sink, budget, max_k, avg_k):
     # few distinct levels put tied windows and overlapping picks everywhere;
-    # taking whole windows against the free mask must keep the set loop's picks
+    # taking whole windows against the free mask must keep the set loop's picks.
+    # Example: windows 0 and 1 hold the same levels, so their numpy means
+    # tie, while summing left to right would break the tie by one ulp
     values = np.asarray(levels)
     total = len(values) + sink
     cfg = PoolingConfig(max_kernels=tuple(max_k), avg_kernels=tuple(avg_k), budget=budget)

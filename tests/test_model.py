@@ -28,12 +28,17 @@ from ctxpress.model import (
     layer_forward,
     load_weights,
     masked_attention,
+    rotary_tables,
     run_parts,
     save_weights,
     worker_scope,
 )
-from ctxpress.prefill import build_lambda_mask
-from reference import dense_softmax_attention, reference_block_forward, rotate_pairs
+from reference import (
+    build_lambda_mask,
+    dense_softmax_attention,
+    reference_block_forward,
+    rotate_pairs,
+)
 
 
 def test_build_is_deterministic():
@@ -295,20 +300,25 @@ def _counted_pools(monkeypatch):
 
 
 def test_worker_scope_runs_every_call_on_one_pool(monkeypatch):
-    # three multi-part calls in one scope share one pool, grown once for
-    # the call that needs three threads; its threads are gone after the scope
+    # the outermost scope makes one pool of _CPUS - 1 threads, which every
+    # call in it shares, a nested scope's too; a call of more parts than
+    # CPUs queues its extra parts and still returns them in order, and the
+    # pool's threads are gone after the scope
     made = _counted_pools(monkeypatch)
+    monkeypatch.setattr(model, "_CPUS", 2)
     before = threading.active_count()
     with worker_scope():
-        seen = [run_parts(lambda j: threading.get_ident(), parts) for parts in (2, 2, 4)]
+        assert len(made) == 1  # made on entry, before any call
+        seen = [run_parts(lambda j: threading.get_ident(), 2) for _ in range(2)]
+        assert run_parts(lambda j: j, 4) == [0, 1, 2, 3]
         with worker_scope():  # a nested scope is part of the outer one
-            run_parts(lambda j: j, 3)
-        assert threading.active_count() > before
-    assert len(made) == 2 and seen[0][1] == seen[1][1]
+            assert run_parts(lambda j: j, 3) == [0, 1, 2]
+        assert threading.active_count() == before + 1
+    assert len(made) == 1 and seen[0][1] == seen[1][1] != threading.get_ident()
     assert threading.active_count() == before
     # outside a scope, each call makes and joins a pool of its own
     assert run_parts(lambda j: j, 2) == [0, 1]
-    assert len(made) == 3 and threading.active_count() == before
+    assert len(made) == 2 and threading.active_count() == before
 
 
 @pytest.mark.parametrize("scoped", [False, True])
@@ -373,7 +383,8 @@ def test_gelu_is_the_tanh_expression_bit_for_bit(rng):
 
 
 def test_zero_length_input(tiny_weights):
-    out, k, v = layer_forward(tiny_weights, 1, np.zeros((0, 32)), np.zeros(0, dtype=int),
+    out, k, v = layer_forward(tiny_weights, 1, np.zeros((0, 32)),
+                              rotary_tables(tiny_weights, np.zeros(0, dtype=int)),
                               np.ones((0, 0), dtype=bool))
     assert out.shape == (0, 32)
     assert k.shape == (2, 0, 16)
@@ -385,7 +396,7 @@ def test_block_matches_reference_forward(tiny_weights, rng):
     x = embed(tiny_weights, ids)
     positions = np.arange(7)
     mask = np.tril(np.ones((7, 7), dtype=bool))
-    got, _, _ = layer_forward(tiny_weights, 2, x, positions, mask)
+    got, _, _ = layer_forward(tiny_weights, 2, x, rotary_tables(tiny_weights, positions), mask)
     want = reference_block_forward(tiny_weights, 2, x, positions)
     assert np.abs(got - want).max() < 1e-5
 
@@ -393,10 +404,10 @@ def test_block_matches_reference_forward(tiny_weights, rng):
 def test_forward_is_pure(tiny_weights, rng):
     ids = rng.integers(4, 32768, size=5)
     x = embed(tiny_weights, ids)
-    positions = np.arange(5)
     mask = np.tril(np.ones((5, 5), dtype=bool))
-    a, _, _ = layer_forward(tiny_weights, 1, x, positions, mask)
-    b, _, _ = layer_forward(tiny_weights, 1, x, positions, mask)
+    rotary = rotary_tables(tiny_weights, np.arange(5))
+    a, _, _ = layer_forward(tiny_weights, 1, x, rotary, mask)
+    b, _, _ = layer_forward(tiny_weights, 1, x, rotary, mask)
     assert np.array_equal(a, b)
 
 
@@ -406,13 +417,16 @@ def test_chunked_equals_monolithic(tiny_weights, rng):
     x = embed(tiny_weights, ids)
     positions = np.arange(12)
     full_mask = np.tril(np.ones((12, 12), dtype=bool))
-    want, k_want, v_want = layer_forward(tiny_weights, 1, x, positions, full_mask)
+    want, k_want, v_want = layer_forward(tiny_weights, 1, x, rotary_tables(tiny_weights, positions),
+                                         full_mask)
 
-    _, k_cache, v_cache = layer_forward(tiny_weights, 1, x[:8], positions[:8],
+    _, k_cache, v_cache = layer_forward(tiny_weights, 1, x[:8],
+                                        rotary_tables(tiny_weights, positions[:8]),
                                         np.tril(np.ones((8, 8), dtype=bool)))
     tail_mask = np.hstack([np.ones((4, 8), dtype=bool),
                            np.tril(np.ones((4, 4), dtype=bool))])
-    got, k_got, v_got = layer_forward(tiny_weights, 1, x[8:], positions[8:], tail_mask,
+    got, k_got, v_got = layer_forward(tiny_weights, 1, x[8:],
+                                      rotary_tables(tiny_weights, positions[8:]), tail_mask,
                                       cache_k=k_cache, cache_v=v_cache)
     assert np.abs(got - want[8:]).max() < 1e-5
     # the attended rows come back: the 8 cached rows, then the 4 new ones

@@ -14,15 +14,15 @@ from hypothesis import example, given, settings, strategies as st
 from ctxpress import model, prefill
 from ctxpress.allocator import query_context_scores
 from ctxpress.codec import TokenSeq
-from ctxpress.model import ModelSpec, OpCounter, build_model
+from ctxpress.model import ModelSpec, OpCounter, build_model, rotary_tables
 from ctxpress.prefill import (
     EmptyQuery,
     StreamConfig,
-    build_lambda_mask,
     prefill_query_part,
     stream_prefill_context,
 )
 from reference import (
+    build_lambda_mask,
     lambda_mask,
     lambda_mask_pipeline,
     monolithic_pipeline_scores,
@@ -144,8 +144,8 @@ def test_query_states_match_monolithic(toy_weights):
     pos = np.arange(len(ids))
     mask = np.tril(np.ones((len(ids), len(ids)), dtype=bool))
     for layer in (1, 2):
-        x, _, _ = layer_forward(toy_weights, layer, x, pos, mask)
-    ref = project_queries(toy_weights, 3, x[200:], pos[200:])
+        x, _, _ = layer_forward(toy_weights, layer, x, rotary_tables(toy_weights, pos), mask)
+    ref = project_queries(toy_weights, 3, x[200:], rotary_tables(toy_weights, pos[200:]))
     assert np.abs(states - ref).max() < 1e-5
 
 
@@ -170,11 +170,12 @@ def test_query_does_not_mutate_cache(tiny_weights):
 
 def test_prefill_attends_without_dense_masks(tiny_weights, monkeypatch):
     # the chunk step calls the kernel once per chunk and lower layer, with
-    # the structured Lambda mask, and never builds the dense one.  The patched
-    # modules are the ones imported with stream_prefill_context at the top:
-    # a later fresh import of ctxpress would leave it calling the originals
+    # the structured Lambda mask, and never builds the dense one (np.tril is
+    # where a dense causal block would come from).  The patched modules are
+    # the ones imported with stream_prefill_context at the top: a later
+    # fresh import of ctxpress would leave it calling the originals
 
-    def no_dense_mask(*args):
+    def no_dense_mask(*args, **kwargs):
         raise AssertionError("dense Lambda mask built during prefill")
 
     kernel, masks = model.masked_attention, []
@@ -183,7 +184,7 @@ def test_prefill_attends_without_dense_masks(tiny_weights, monkeypatch):
         masks.append(mask)
         return kernel(q, k, v, mask, **kwargs)
 
-    monkeypatch.setattr(prefill, "build_lambda_mask", no_dense_mask)
+    monkeypatch.setattr(np, "tril", no_dense_mask)
     monkeypatch.setattr(model, "masked_attention", counted)
     cfg = StreamConfig(sink=4, window=32, chunk=64, retrieval_layer=3)
     cache = stream_prefill_context(tiny_weights, cfg, _random_seq(300))
@@ -360,14 +361,16 @@ def test_failed_segment_surfaces_after_every_segment_finished(tiny_weights):
         if threading.get_ident() == caller:
             raise FloatingPointError("segment 0 failed")
         time.sleep(0.005)
-        done.append(args[3][0])
+        done.append(args[3][0])  # the chunk's cos table
         return project_keys(*args)
 
     with mock.patch.object(model, "_CPUS", 2), \
             mock.patch.object(prefill, "project_keys", flaky), \
             pytest.raises(FloatingPointError):
         stream_prefill_context(tiny_weights, cfg, _random_seq(4 + 16 * 17))
-    assert done == [20 + 16 * i for i in range(7, 16)]
+    owned = [rotary_tables(tiny_weights, np.arange(20 + 16 * i, 36 + 16 * i))[0]
+             for i in range(7, 16)]
+    assert len(done) == len(owned) and all(map(np.array_equal, done, owned))
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
