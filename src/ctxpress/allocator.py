@@ -55,11 +55,6 @@ class PoolingConfig:
         if self.budget < 0:
             raise ValueError("budget must be non-negative")
 
-    def to_json(self) -> dict:
-        return {"max_kernels": list(self.max_kernels),
-                "avg_kernels": list(self.avg_kernels),
-                "budget": self.budget}
-
 
 @dataclass
 class AllocationResult:
@@ -67,12 +62,6 @@ class AllocationResult:
     compressed: TokenSeq
     budget: int
     used_fallback: bool = False  # True if the final top-up pass ran
-
-    def to_json(self, config: dict | None = None) -> dict:
-        return {"indices": list(self.indices),
-                "ids": list(self.compressed.ids),
-                "budget": self.budget,
-                "config": config or {}}
 
 
 #: float64 entries in one block of query-row probabilities (8 MiB)
@@ -88,7 +77,7 @@ def query_context_scores(
 
     query_states: (H, L_q, d_h); full_k: (H, L, d_h).  No causal
     restriction: the whole context precedes the query.  The heads are
-    dealt round-robin to min(H, usable CPUs) parts (``run_parts``); head h
+    dealt round-robin to min(H, free CPUs) parts (``run_parts``); head h
     walks its query rows through ``block[h]`` of one (H, r, L) buffer,
     r = min(L_q, max(8, SCORE_BLOCK // (H*L))), keeping its running maxima
     in row h of an (H, L) array.  Each row's softmax spans all L columns
@@ -111,7 +100,7 @@ def query_context_scores(
     block = np.empty((heads, rows, length))
     best = np.zeros((heads, length))
 
-    threads = min(heads, model._CPUS)
+    threads = min(heads, model._free_cpus())
 
     def score_heads(first: int) -> None:
         for h in range(first, heads, threads):

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from ctxpress.allocator import PoolingConfig
 from ctxpress.codec import Vocab, encode
@@ -88,7 +89,7 @@ def cmd_compress(args: argparse.Namespace) -> int:
         context = encode(fh.read(), vocab)
     with open(args.query, encoding="utf-8") as fh:
         query = encode(fh.read(), vocab)
-    meta = {"stream": stream.to_json(), "pooling": pooling.to_json(),
+    meta = {"stream": asdict(stream), "pooling": asdict(pooling),
             "model_seed": weights.spec.seed}
     if args.weights is not None:
         meta["weights"] = args.weights
@@ -107,10 +108,8 @@ def cmd_select_layer(args: argparse.Namespace) -> int:
     stream = StreamConfig(sink=args.sink, window=args.window, chunk=args.chunk)
     selected, report = select_retrieval_layer(weights, task, parse_int_list(args.layers),
                                               _pooling(args), stream)
-    payload = report.to_json({"length": task.length, "key_digits": list(task.key_digits),
-                              "segments": task.segments, "seed": task.seed,
-                              "budget": task.budget})
-    _write_json(args.out, payload)
+    _write_json(args.out, report.to_json(
+        {key: value for key, value in asdict(task).items() if key != "filler"}))
     print("mean recall per layer: " + ", ".join(
         f"{layer}: {report.layer_mean(layer):.3f}" for layer in report.layers()))
     print(f"selected retrieval layer {selected} -> {args.out}")

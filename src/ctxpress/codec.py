@@ -51,9 +51,6 @@ class Span:
     start: int
     end: int  # exclusive
 
-    def to_json(self) -> dict:
-        return {"label": self.label, "start": self.start, "end": self.end}
-
 
 @dataclass
 class TokenSeq:
@@ -69,9 +66,6 @@ class TokenSeq:
         for s in self.spans:
             if not (0 <= s.start <= s.end <= len(self.ids)):
                 raise ValueError(f"span {s} out of bounds for length {len(self.ids)}")
-
-    def to_json(self) -> dict:
-        return {"ids": list(self.ids), "spans": [s.to_json() for s in self.spans]}
 
 
 # [^\W_] matches exactly what str.isalnum accepts and \s what str.isspace

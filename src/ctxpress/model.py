@@ -1,7 +1,7 @@
 """Seeded decoder-only transformer core.
 
-Weights are drawn from a counter-based PRNG keyed by (seed, block name), so
-any block regenerates bit-identically without the others.  Blocks are stored
+Weights are drawn from ``seeded_rng(seed, block name)``, so any block
+regenerates bit-identically without the others.  Blocks are stored
 as float32 (the on-disk format); forward math runs in float64.  There is no
 training, sampling, or real checkpoint support -- the model exists so the
 compression pipeline has deterministic attention to work with.
@@ -159,10 +159,15 @@ class OpCounter:
         self.dot_products += int(n)
 
 
-def _draw_block(seed: int, name: str, shape: tuple[int, ...], scale: float) -> np.ndarray:
+def seeded_rng(seed: int, name: str) -> np.random.Generator:
+    """Philox keyed by ``[seed mod 2**64, fnv1a64(name in UTF-8)]``: the one
+    keyed stream of weight blocks, needle cells and synthetic ids."""
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, fnv1a64(name.encode("utf-8"))], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    return gen.uniform(-scale, scale, size=shape).astype(np.float32)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _draw_block(seed: int, name: str, shape: tuple[int, ...], scale: float) -> np.ndarray:
+    return seeded_rng(seed, name).uniform(-scale, scale, size=shape).astype(np.float32)
 
 
 def build_model(spec: ModelSpec) -> Weights:
@@ -335,10 +340,10 @@ def masked_attention(
     return out
 
 
-def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
-    # (T, d) -> (H, T, d_h); head h owns columns [h*d_h, (h+1)*d_h)
-    t, d = x.shape
-    return x.reshape(t, heads, d // heads).transpose(1, 0, 2)
+def _heads(x_norm: np.ndarray, w: np.ndarray, heads: int) -> np.ndarray:
+    # (T, d) @ w -> (H, T, d_h); head h owns columns [h*d_h, (h+1)*d_h)
+    y = x_norm @ w.astype(np.float64)
+    return y.reshape(len(y), heads, w.shape[1] // heads).transpose(1, 0, 2)
 
 
 def _merge_heads(x: np.ndarray) -> np.ndarray:
@@ -357,8 +362,7 @@ def project_queries(weights: Weights, layer: int, x: np.ndarray,
     """Rotary-encoded query states of layer ``layer`` (1-based) for input x
     (T, d); ``rotary`` is ``rotary_tables(weights, positions)``."""
     lw = weights.layers[layer - 1]
-    q = _split_heads(rms_norm(x, lw.attn_gain) @ lw.wq.astype(np.float64), weights.spec.heads)
-    return _rotate(q, *rotary)
+    return _rotate(_heads(rms_norm(x, lw.attn_gain), lw.wq, weights.spec.heads), *rotary)
 
 
 def project_keys(weights: Weights, layer: int, x: np.ndarray,
@@ -366,8 +370,7 @@ def project_keys(weights: Weights, layer: int, x: np.ndarray,
     """Rotary-encoded key states of layer ``layer`` (1-based) for input x
     (T, d); ``rotary`` as for ``project_queries``."""
     lw = weights.layers[layer - 1]
-    k = _split_heads(rms_norm(x, lw.attn_gain) @ lw.wk.astype(np.float64), weights.spec.heads)
-    return _rotate(k, *rotary)
+    return _rotate(_heads(rms_norm(x, lw.attn_gain), lw.wk, weights.spec.heads), *rotary)
 
 
 def layer_forward(
@@ -388,28 +391,18 @@ def layer_forward(
     rotary-encoded keys and raw values: the C cached rows followed by the T
     new rows, in fresh arrays.
     """
-    spec = weights.spec
-    t = x.shape[0]
-    if t == 0:
-        empty = np.zeros((spec.heads, 0, spec.head_dim))
-        k, v = (empty, empty) if cache_k is None else (cache_k, cache_v)
-        return x.copy(), k.copy(), v.copy()
     lw = weights.layers[layer - 1]
     x_norm = rms_norm(x, lw.attn_gain)
-    q, k, v = (_split_heads(x_norm @ w.astype(np.float64), spec.heads)
-               for w in (lw.wq, lw.wk, lw.wv))
+    q, k, v = (_heads(x_norm, w, weights.spec.heads) for w in (lw.wq, lw.wk, lw.wv))
     q, k = _rotate(q, *rotary), _rotate(k, *rotary)
-    if cache_k is not None and cache_k.shape[1] > 0:
-        k_all = np.concatenate([cache_k, k], axis=1)
-        v_all = np.concatenate([cache_v, v], axis=1)
-    else:
-        k_all, v_all = k, v
+    if cache_k is not None and cache_k.shape[1]:
+        k, v = np.concatenate([cache_k, k], axis=1), np.concatenate([cache_v, v], axis=1)
     # called through the module-global name, so a rebinding of it sees every call
-    attn = masked_attention(q, k_all, v_all, mask)
+    attn = masked_attention(q, k, v, mask)
     h = x + _merge_heads(attn) @ lw.wo.astype(np.float64)
     f = rms_norm(h, lw.ffn_gain)
     y = h + gelu(f @ lw.w_in.astype(np.float64)) @ lw.w_out.astype(np.float64)
-    return y, k_all, v_all
+    return y, k, v
 
 
 # binary weight file: magic "ILRW", version u16, little-endian header, then

@@ -10,7 +10,7 @@ recall.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cache, lru_cache
 from importlib import resources
 
@@ -18,8 +18,8 @@ import numpy as np
 
 from ctxpress import pipeline
 from ctxpress.allocator import PoolingConfig
-from ctxpress.codec import Span, TokenSeq, Vocab, encode, fnv1a64
-from ctxpress.model import Weights
+from ctxpress.codec import Span, TokenSeq, Vocab, encode
+from ctxpress.model import Weights, seeded_rng
 from ctxpress.prefill import StreamConfig
 
 #: frozen word pool for key ids
@@ -72,19 +72,12 @@ class NeedleInstance:
         return self.context.spans[0]
 
     def to_json(self) -> dict:
-        return {"context": self.context.to_json(),
-                "query": self.query.to_json(),
-                "key_id": self.key_id,
-                "passkey": self.passkey,
-                "needle_text": self.needle_text,
-                "memo": {str(k): v for k, v in self.memo.items()}}
+        return asdict(self)
 
 
 def cell_rng(seed: int, depth_index: int, key_digits: int) -> np.random.Generator:
     """Independent counter-based RNG for one (depth, key length) grid cell."""
-    tag = fnv1a64(f"needle.depth{depth_index}.digits{key_digits}".encode())
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, tag], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return seeded_rng(seed, f"needle.depth{depth_index}.digits{key_digits}")
 
 
 @lru_cache(maxsize=4)

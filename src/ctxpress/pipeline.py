@@ -9,9 +9,7 @@ cost is quadratic.
 
 from __future__ import annotations
 
-import csv
 import gc
-import statistics
 import time
 from dataclasses import dataclass, replace
 
@@ -24,8 +22,8 @@ from ctxpress.allocator import (
     query_context_scores,
     reduce_scores,
 )
-from ctxpress.codec import TokenSeq, fnv1a64
-from ctxpress.model import OpCounter, Weights, worker_scope
+from ctxpress.codec import TokenSeq
+from ctxpress.model import OpCounter, Weights, seeded_rng, worker_scope
 from ctxpress.prefill import StreamConfig, prefill_query_part, stream_prefill_context
 
 
@@ -53,12 +51,6 @@ class CostReport:
     cache_cells_retrieval: int  # key cells per head at the retrieval layer
     wall_seconds: float
 
-    def to_json(self) -> dict:
-        return {"dot_products": self.dot_products,
-                "cache_cells_low": self.cache_cells_low,
-                "cache_cells_lr": self.cache_cells_retrieval,
-                "wall_ms": self.wall_seconds * 1000.0}
-
 
 @dataclass
 class CompressResult:
@@ -68,11 +60,17 @@ class CompressResult:
     output_ids: list[int]  # selected context ids ++ query ids
 
     def to_json(self, config: dict | None = None) -> dict:
-        out = self.allocation.to_json(config)
-        out["output_ids"] = list(self.output_ids)
-        out["cost"] = self.cost.to_json()
-        out["bypassed"] = self.bypassed
-        return out
+        allocation, cost = self.allocation, self.cost
+        return {"indices": list(allocation.indices),
+                "ids": list(allocation.compressed.ids),
+                "budget": allocation.budget,
+                "config": config or {},
+                "output_ids": list(self.output_ids),
+                "cost": {"dot_products": cost.dot_products,
+                         "cache_cells_low": cost.cache_cells_low,
+                         "cache_cells_lr": cost.cache_cells_retrieval,
+                         "wall_ms": cost.wall_seconds * 1000.0},
+                "bypassed": self.bypassed}
 
 
 def count_cache_cells(length: int, sink: int, window: int, retrieval_layer: int) -> tuple[int, int]:
@@ -144,10 +142,7 @@ def run_compress(
 
 def synthetic_ids(length: int, vocab: int, seed: int, tag: str = "bench") -> TokenSeq:
     """Deterministic filler token ids for cost measurements."""
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, fnv1a64(f"{tag}.{length}".encode())],
-                   dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    return TokenSeq(gen.integers(4, vocab, size=length).tolist())
+    return TokenSeq(seeded_rng(seed, f"{tag}.{length}").integers(4, vocab, size=length).tolist())
 
 
 def count_dot_products(
@@ -196,13 +191,12 @@ class BenchResult:
     dots_fit: tuple[float, float, float]
 
     def write_csv(self, path: str) -> None:
+        # numeric fields need no quoting; rows end in "\r\n", as csv writes them
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["length", "dot_products", "cache_cells_low",
-                             "cache_cells_lr", "wall_ms"])
+            fh.write("length,dot_products,cache_cells_low,cache_cells_lr,wall_ms\r\n")
             for row in self.rows:
-                writer.writerow([row.length, row.dot_products, row.cache_cells_low,
-                                 row.cache_cells_retrieval, f"{row.wall_ms:.3f}"])
+                fh.write(f"{row.length},{row.dot_products},{row.cache_cells_low},"
+                         f"{row.cache_cells_retrieval},{row.wall_ms:.3f}\r\n")
 
 
 def bench_scaling(
@@ -254,7 +248,7 @@ def bench_scaling(
         dot_products=done[-1].dot_products,
         cache_cells_low=done[-1].cache_cells_low,
         cache_cells_retrieval=done[-1].cache_cells_retrieval,
-        wall_ms=statistics.median(cost.wall_seconds for cost in done) * 1000.0)
+        wall_ms=float(np.median([cost.wall_seconds for cost in done])) * 1000.0)
         for length, done in zip(lengths, costs)]
     xs = np.array([row.length for row in rows], dtype=np.float64)
     return BenchResult(

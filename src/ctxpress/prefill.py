@@ -51,10 +51,6 @@ class StreamConfig:
             raise ValueError(
                 f"retrieval_layer {self.retrieval_layer} outside 1..{n_layers}")
 
-    def to_json(self) -> dict:
-        return {"sink": self.sink, "window": self.window, "chunk": self.chunk,
-                "retrieval_layer": self.retrieval_layer}
-
 
 @dataclass
 class StreamCache:
@@ -117,10 +113,10 @@ def _prefill_chunks(
 
 
 def _segment_count(chunks: int, warm: int) -> int:
-    """Segments of a context prefill of ``chunks`` chunks: one per usable
-    CPU, each owning at least four times the ``warm + 1`` chunks a segment
-    walks without owning them."""
-    return max(1, min(model._CPUS, chunks // (4 * (warm + 1))))
+    """Segments of a context prefill of ``chunks`` chunks: one per free CPU
+    (so one inside a part), each owning at least four times the ``warm + 1``
+    chunks a segment walks without owning them."""
+    return max(1, min(model._free_cpus(), chunks // (4 * (warm + 1))))
 
 
 def stream_prefill_context(

@@ -1,6 +1,7 @@
 """Tokenizer determinism, golden ids, and memo round trips."""
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -87,8 +88,7 @@ def test_span_bounds_checked():
 
 def test_tokenseq_json_round_trip():
     seq = TokenSeq([5, 6, 7], [Span("needle", 1, 3)])
-    blob = seq.to_json()
-    assert blob == {"ids": [5, 6, 7], "spans": [{"label": "needle", "start": 1, "end": 3}]}
+    assert asdict(seq) == {"ids": [5, 6, 7], "spans": [{"label": "needle", "start": 1, "end": 3}]}
 
 
 @given(st.text(max_size=200))

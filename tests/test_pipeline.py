@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+from dataclasses import asdict
 from pathlib import Path
 from unittest import mock
 
@@ -219,8 +220,10 @@ def test_deterministic_end_to_end(tiny_weights):
 def test_result_json_has_config_echo(tiny_weights):
     ctx, query = _seq(300), _seq(10, seed=2)
     cfg = StreamConfig(sink=4, window=64, chunk=64, retrieval_layer=2)
-    res = run_compress(tiny_weights, cfg, PoolingConfig(budget=50), ctx, query)
-    blob = res.to_json({"stream": cfg.to_json(), "pooling": PoolingConfig(budget=50).to_json()})
+    pooling = PoolingConfig(budget=50)
+    res = run_compress(tiny_weights, cfg, pooling, ctx, query)
+    # as the CLI writes it: the configs' dicts through one json round trip
+    blob = json.loads(json.dumps(res.to_json({"stream": asdict(cfg), "pooling": asdict(pooling)})))
     assert blob["config"]["stream"]["sink"] == 4
     assert blob["config"]["pooling"]["max_kernels"] == [2, 4, 8]
     assert blob["budget"] == 50

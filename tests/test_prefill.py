@@ -350,6 +350,32 @@ def test_segment_count():
         assert prefill._segment_count(1, 0) == 1
 
 
+def test_prefill_inside_a_part_walks_each_chunk_once(tiny_weights, monkeypatch):
+    # 64 chunks with warm = 2 make two segments on two CPUs; called from a
+    # part of a multi-part call, prefill has one free CPU, so it walks every
+    # chunk once instead of running two segments inline and walking the
+    # second one's chunk 0 and warm-up chunks twice
+    cfg = StreamConfig(sink=4, window=64, chunk=64, retrieval_layer=3)
+    ids = _random_seq(4096).ids
+    full_k, _, _ = serial_prefill(tiny_weights, ids, 4, 64, 64, 3)
+    layer_forward, calls = prefill.layer_forward, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return layer_forward(*args, **kwargs)
+
+    monkeypatch.setattr(model, "_CPUS", 2)
+    monkeypatch.setattr(prefill, "layer_forward", counted)
+    chunks = len(prefill._chunk_bounds(4096, 64, 4))
+    stream_prefill_context(tiny_weights, cfg, TokenSeq(ids))
+    assert len(calls) == (chunks + 1 + 2) * (3 - 1)  # two segments
+    calls.clear()
+    caches = model.run_parts(
+        lambda i: stream_prefill_context(tiny_weights, cfg, TokenSeq(ids)) if i == 0 else None, 2)
+    assert len(calls) == chunks * (3 - 1)
+    assert np.array_equal(caches[0].full_k, full_k)
+
+
 def test_failed_segment_surfaces_after_every_segment_finished(tiny_weights):
     # 17 chunks with warm = 1 make two segments; segment 0 fails on its
     # first chunk while segment 1 still has nine slowed chunks to go
