@@ -181,13 +181,12 @@ class WindowMeans:
 
 
 def _ranked(avgs: np.ndarray, count: int) -> np.ndarray:
-    """The first ``count`` windows of the stable descending ranking of
-    ``avgs``: only windows at least as good as the count-th best can rank."""
-    if count < len(avgs):
-        kth = len(avgs) - count
-        order = (avgs >= np.partition(avgs, kth)[kth]).nonzero()[0]
-        return order[(-avgs[order]).argsort(kind="stable")][:count]
-    return (-avgs).argsort(kind="stable")
+    """The first ``count <= len(avgs)`` windows of the stable descending
+    ranking of ``avgs``: only windows at least as good as the count-th best
+    can rank."""
+    kth = len(avgs) - count
+    order = (avgs >= np.partition(avgs, kth)[kth]).nonzero()[0]
+    return order[(-avgs[order]).argsort(kind="stable")][:count]
 
 
 #: windows the first batch of a ranking holds; each later batch holds four

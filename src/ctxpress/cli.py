@@ -12,7 +12,7 @@ from dataclasses import asdict
 
 from ctxpress.allocator import PoolingConfig
 from ctxpress.codec import Vocab, encode
-from ctxpress.model import ModelSpec, build_model, load_weights
+from ctxpress.model import ModelSpec, build_model
 from ctxpress.needles import (
     NeedleTaskSpec,
     cell_rng,
@@ -39,9 +39,8 @@ def parse_int_list(text: str) -> list[int]:
 
 
 def _add_model_args(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--model-seed", type=int, default=0, help="seed for generated weights")
-    group.add_argument("--weights", help="path to an ILRW weight file")
+    parser.add_argument("--model-seed", type=int, default=0,
+                        help="weight seed; with the dimensions it is the whole model")
     parser.add_argument("--dim", type=int, default=64)
     parser.add_argument("--heads", type=int, default=4)
     parser.add_argument("--model-layers", type=int, default=4)
@@ -66,8 +65,6 @@ def _pooling(args: argparse.Namespace) -> PoolingConfig:
 
 
 def _load_model(args: argparse.Namespace):
-    if args.weights:
-        return load_weights(args.weights)
     spec = ModelSpec(vocab=args.vocab, dim=args.dim, heads=args.heads,
                      layers=args.model_layers, seed=args.model_seed)
     return build_model(spec)
@@ -91,8 +88,6 @@ def cmd_compress(args: argparse.Namespace) -> int:
         query = encode(fh.read(), vocab)
     meta = {"stream": asdict(stream), "pooling": asdict(pooling),
             "model_seed": weights.spec.seed}
-    if args.weights is not None:
-        meta["weights"] = args.weights
     result = run_compress(weights, stream, pooling, context, query)
     _write_json(args.out, result.to_json(meta))
     print(f"kept {len(result.allocation.indices)}/{len(context)} context tokens "

@@ -1,17 +1,16 @@
 """Seeded decoder-only transformer core.
 
 Weights are drawn from ``seeded_rng(seed, block name)``, so any block
-regenerates bit-identically without the others.  Blocks are stored
-as float32 (the on-disk format); forward math runs in float64.  There is no
-training, sampling, or real checkpoint support -- the model exists so the
-compression pipeline has deterministic attention to work with.
+regenerates bit-identically without the others.  Blocks are float32;
+forward math runs in float64.  There is no training, sampling, or real
+checkpoint support -- the model exists so the compression pipeline has
+deterministic attention to work with.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import struct
 import threading
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -22,9 +21,6 @@ from itertools import accumulate
 import numpy as np
 
 from ctxpress.codec import fnv1a64
-
-WEIGHT_MAGIC = b"ILRW"
-WEIGHT_VERSION = 1
 
 
 class DimensionMismatch(ValueError):
@@ -41,7 +37,6 @@ class ModelSpec:
     dim: int = 64
     heads: int = 4
     layers: int = 4
-    ffn_dim: int | None = None  # defaults to 4*dim
     seed: int = 0
     rope_base: float = 10000.0
 
@@ -51,11 +46,13 @@ class ModelSpec:
 
     @property
     def hidden_dim(self) -> int:
-        return self.ffn_dim if self.ffn_dim is not None else 4 * self.dim
+        return 4 * self.dim
 
     def __post_init__(self) -> None:
-        if min(self.vocab, self.dim, self.heads, self.hidden_dim) <= 0:
+        if min(self.vocab, self.dim, self.heads) <= 0:
             raise DimensionMismatch(f"non-positive dimension in {self}")
+        if not (math.isfinite(self.rope_base) and self.rope_base > 0):
+            raise ValueError(f"rope_base must be finite and > 0, got {self.rope_base}")
         if self.dim % self.heads != 0:
             raise DimensionMismatch(f"dim {self.dim} not divisible by heads {self.heads}")
         if self.head_dim % 2 != 0:
@@ -74,11 +71,6 @@ class LayerWeights:
     w_out: np.ndarray  # (hidden, d)
     attn_gain: np.ndarray  # (d,)
     ffn_gain: np.ndarray  # (d,)
-
-    def blocks(self) -> list[np.ndarray]:
-        # declaration order, also the serialization order
-        return [self.wq, self.wk, self.wv, self.wo, self.w_in, self.w_out,
-                self.attn_gain, self.ffn_gain]
 
 
 @dataclass
@@ -403,61 +395,3 @@ def layer_forward(
     f = rms_norm(h, lw.ffn_gain)
     y = h + gelu(f @ lw.w_in.astype(np.float64)) @ lw.w_out.astype(np.float64)
     return y, k, v
-
-
-# binary weight file: magic "ILRW", version u16, little-endian header, then
-# the f32 blocks in declaration order
-
-_HEADER = struct.Struct("<IIIIIQd")  # vocab, dim, heads, layers, ffn, seed, rope_base
-
-
-def save_weights(weights: Weights, path: str) -> None:
-    spec = weights.spec
-    with open(path, "wb") as fh:
-        fh.write(WEIGHT_MAGIC)
-        fh.write(struct.pack("<H", WEIGHT_VERSION))
-        fh.write(_HEADER.pack(spec.vocab, spec.dim, spec.heads, spec.layers,
-                              spec.hidden_dim, spec.seed & 0xFFFFFFFFFFFFFFFF,
-                              spec.rope_base))
-        fh.write(np.ascontiguousarray(weights.embedding, dtype="<f4").tobytes())
-        for lw in weights.layers:
-            for block in lw.blocks():
-                fh.write(np.ascontiguousarray(block, dtype="<f4").tobytes())
-
-
-def load_weights(path: str) -> Weights:
-    prefix = len(WEIGHT_MAGIC) + 2 + _HEADER.size
-    with open(path, "rb") as fh:
-        head = fh.read(prefix)
-        if head[:4] != WEIGHT_MAGIC:
-            raise ValueError(f"{path}: bad magic, not a weight file")
-        if len(head) != prefix:
-            raise ValueError(f"{path}: truncated weight file header")
-        (version,) = struct.unpack("<H", head[4:6])
-        if version != WEIGHT_VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
-        vocab, dim, heads, layers, ffn, seed, rope_base = _HEADER.unpack(head[6:])
-        spec = ModelSpec(vocab=vocab, dim=dim, heads=heads, layers=layers,
-                         ffn_dim=ffn, seed=seed, rope_base=rope_base)
-        d, hidden = spec.dim, spec.hidden_dim
-        emb_shape = (spec.vocab, d)
-        layer_shapes = [(d, d)] * 4 + [(d, hidden), (hidden, d), (d,), (d,)]
-        # checked before any read, so a header that claims more data than
-        # the file holds never asks for a buffer of that size
-        claimed = prefix + 4 * (math.prod(emb_shape) + spec.layers
-                                * sum(math.prod(shape) for shape in layer_shapes))
-        actual = os.fstat(fh.fileno()).st_size
-        if actual != claimed:
-            problem = ("truncated weight file" if actual < claimed
-                       else "trailing bytes after the last weight block")
-            raise ValueError(f"{path}: {problem}: header claims {claimed} bytes, "
-                             f"file has {actual}")
-
-        def read_block(shape: tuple[int, ...]) -> np.ndarray:
-            buf = fh.read(4 * math.prod(shape))
-            return np.frombuffer(buf, dtype="<f4").reshape(shape).copy()
-
-        emb = read_block(emb_shape)
-        # LayerWeights fields are in serialization order
-        layer_ws = [LayerWeights(*map(read_block, layer_shapes)) for _ in range(spec.layers)]
-    return Weights(spec=spec, embedding=emb, layers=layer_ws)

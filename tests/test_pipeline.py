@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from ctxpress import model, pipeline, prefill
 from ctxpress.allocator import PoolingConfig, query_context_scores, reduce_scores
 from ctxpress.codec import TokenSeq
-from ctxpress.model import DimensionMismatch, ModelSpec, build_model
+from ctxpress.model import DimensionMismatch, ModelSpec
 from ctxpress.needles import NeedleTaskSpec
 from ctxpress.pipeline import (
     InsufficientPoints,
@@ -279,7 +279,7 @@ def test_full_attention_grows_superlinearly(tiny_weights):
     (ModelSpec, {"vocab": 0}, DimensionMismatch),
     (ModelSpec, {"dim": 0}, DimensionMismatch),
     (ModelSpec, {"heads": 0}, DimensionMismatch),
-    (ModelSpec, {"ffn_dim": 0}, DimensionMismatch),
+    (ModelSpec, {"rope_base": 0.0}, ValueError),
     (ModelSpec, {"dim": 64, "heads": 5}, DimensionMismatch),
     (ModelSpec, {"dim": 12, "heads": 4}, DimensionMismatch),  # odd head_dim
     (ModelSpec, {"layers": 1}, DimensionMismatch),
@@ -297,6 +297,10 @@ def test_full_attention_grows_superlinearly(tiny_weights):
     (NeedleTaskSpec, {"length": 100, "budget": 0}, ValueError),
     (NeedleTaskSpec, {"length": 100, "key_digits": ()}, ValueError),
     (NeedleTaskSpec, {"length": 100, "key_digits": (0,)}, ValueError),
+    # appended, so the positional ids of the rows above keep their numbers
+    (ModelSpec, {"rope_base": -1.0}, ValueError),
+    (ModelSpec, {"rope_base": float("nan")}, ValueError),
+    (ModelSpec, {"rope_base": float("inf")}, ValueError),
 ])
 def test_invalid_config_raises_at_construction(config, fields, error):
     with pytest.raises(error):
@@ -376,24 +380,6 @@ def test_cli_compress(tmp_path, text_files):
     assert blob["indices"] == sorted(blob["indices"])
 
 
-def test_cli_compress_from_weight_file(tmp_path, text_files):
-    from ctxpress.model import save_weights
-    ctx, query = text_files
-    weights_path = tmp_path / "model.ilrw"
-    save_weights(build_model(ModelSpec(dim=32, heads=2, layers=4, seed=9)),
-                 str(weights_path))
-    out = tmp_path / "out.json"
-    proc = _run_cli("compress", "--weights", str(weights_path),
-                    "--context", str(ctx), "--query", str(query),
-                    "--budget", "32", "--layer", "2", "--window", "64",
-                    "--chunk", "128", "--out", str(out))
-    assert proc.returncode == 0, proc.stderr
-    blob = json.loads(out.read_text())
-    assert blob["config"]["weights"] == str(weights_path)
-    assert blob["config"]["model_seed"] == 9
-    assert len(blob["indices"]) == 32 + 4
-
-
 @pytest.mark.parametrize("argv", [
     ["compress", "--layer", "99"],
     ["select-layer", "--length", "300", "--layers", "1:2", "--chunk", "0"],
@@ -403,14 +389,11 @@ def test_cli_compress_from_weight_file(tmp_path, text_files):
     ["bench", "--runs", "0"],
     ["select-layer", "--length", "300", "--layers", "1", "--dim", "32", "--heads", "2",
      "--key-digits", "100"],
-    ["compress", "--weights", "OVERSIZED"],
 ], ids=["compress-layer-99", "select-layer-chunk-0", "select-layer-sink--1",
-        "bench-window-0", "bench-layer-9", "bench-runs-0", "select-layer-budget-covers",
-        "compress-weights-oversized"])
-def test_cli_compress_bad_config_exits_2(tmp_path, text_files, oversized_weight_file, argv):
+        "bench-window-0", "bench-layer-9", "bench-runs-0", "select-layer-budget-covers"])
+def test_cli_compress_bad_config_exits_2(tmp_path, text_files, argv):
     if argv[0] == "compress":
         ctx, query = text_files
-        argv = [str(oversized_weight_file) if a == "OVERSIZED" else a for a in argv]
         argv = argv + ["--context", str(ctx), "--query", str(query)]
     proc = _run_cli(*argv, "--out", str(tmp_path / "x.json"))
     assert proc.returncode == 2, proc.stderr
