@@ -20,7 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ctxpress import model
 from ctxpress.codec import TokenSeq
-from ctxpress.model import OpCounter, run_parts, softmax_rows
+from ctxpress.model import require_ints, run_parts, softmax_rows
 
 
 class DegenerateContext(ValueError):
@@ -48,6 +48,7 @@ class PoolingConfig:
     budget: int = 4096
 
     def __post_init__(self) -> None:
+        require_ints(self, self.budget, *self.max_kernels, *self.avg_kernels)
         if not self.max_kernels or not self.avg_kernels:
             raise ValueError("need at least one max and one avg kernel")
         if min(self.max_kernels) < 1 or min(self.avg_kernels) < 1:
@@ -71,7 +72,6 @@ SCORE_BLOCK = 1 << 20
 def query_context_scores(
     query_states: np.ndarray,
     full_k: np.ndarray,
-    counter: OpCounter | None = None,
 ) -> np.ndarray:
     """Per-position max over heads and query rows of the query-key softmax.
 
@@ -91,8 +91,6 @@ def query_context_scores(
     length = full_k.shape[1]
     if query_len == 0 or length == 0:
         raise ValueError(f"cannot score {query_len} query rows against {length} keys")
-    if counter is not None:
-        counter.add(query_len * length)
     keys_t = np.swapaxes(full_k, -1, -2)
     # one (H, L_q, d_h) product in place of a divide over every score
     query_states = query_states * (1.0 / math.sqrt(d_h))

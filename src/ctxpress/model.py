@@ -10,6 +10,7 @@ deterministic attention to work with.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import threading
 from bisect import bisect_right
@@ -31,6 +32,12 @@ class EmptyRow(ValueError):
     """An attention mask row allows no key at all."""
 
 
+def require_ints(config: object, *values: object) -> None:
+    """Raise ``ValueError`` unless every value is an integer, numpy's included."""
+    if not all(isinstance(value, numbers.Integral) for value in values):
+        raise ValueError(f"non-integer field in {config}")
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     vocab: int = 32768
@@ -49,6 +56,7 @@ class ModelSpec:
         return 4 * self.dim
 
     def __post_init__(self) -> None:
+        require_ints(self, self.vocab, self.dim, self.heads, self.layers, self.seed)
         if min(self.vocab, self.dim, self.heads) <= 0:
             raise DimensionMismatch(f"non-positive dimension in {self}")
         if not (math.isfinite(self.rope_base) and self.rope_base > 0):
@@ -139,16 +147,6 @@ def run_parts(task, parts: int) -> list:
     finally:
         wait(tasks)
     return [first, *(done.result() for done in tasks)]
-
-
-class OpCounter:
-    """Tallies the query-key dot products that attention needs."""
-
-    def __init__(self) -> None:
-        self.dot_products = 0
-
-    def add(self, n: int) -> None:
-        self.dot_products += int(n)
 
 
 def seeded_rng(seed: int, name: str) -> np.random.Generator:

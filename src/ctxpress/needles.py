@@ -19,7 +19,7 @@ import numpy as np
 from ctxpress import pipeline
 from ctxpress.allocator import PoolingConfig
 from ctxpress.codec import Span, TokenSeq, Vocab, encode
-from ctxpress.model import Weights, seeded_rng
+from ctxpress.model import Weights, require_ints, seeded_rng
 from ctxpress.prefill import StreamConfig
 
 #: frozen word pool for key ids
@@ -52,6 +52,7 @@ class NeedleTaskSpec:
     filler: str | None = None  # defaults to the bundled corpus
 
     def __post_init__(self) -> None:
+        require_ints(self, self.length, self.segments, self.seed, self.budget, *self.key_digits)
         if self.length < 1 or self.segments < 1 or self.budget <= 0:
             raise ValueError(f"invalid task spec {self}")
         if not self.key_digits or min(self.key_digits) < 1:

@@ -1,10 +1,10 @@
 """End-to-end compression jobs, cost accounting, and the scaling benchmark.
 
-A job runs prefill -> query prefill -> scoring -> allocation and reports the
-instrumented dot-product count plus live cache cell counts.  The benchmark
-measures wall time across context lengths and fits a line; with the window
-set to the context length the same engine becomes the full-KV baseline whose
-cost is quadratic.
+A job runs prefill -> query prefill -> scoring -> allocation and reports
+its dot products and cache cells: closed forms of the sizes and the stream
+config, which the Lambda mask's shape fixes.  The benchmark measures wall
+time across context lengths and fits a line; with the window set to the
+context length the same engine becomes the full-KV baseline, cost quadratic.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from ctxpress.allocator import (
     reduce_scores,
 )
 from ctxpress.codec import TokenSeq
-from ctxpress.model import OpCounter, Weights, seeded_rng, worker_scope
-from ctxpress.prefill import StreamConfig, prefill_query_part, stream_prefill_context
+from ctxpress.model import Weights, seeded_rng, worker_scope
+from ctxpress.prefill import StreamConfig, _chunk_bounds, prefill_query_part, stream_prefill_context
 
 
 class InsufficientPoints(ValueError):
@@ -74,9 +74,23 @@ class CompressResult:
 
 
 def count_cache_cells(length: int, sink: int, window: int, retrieval_layer: int) -> tuple[int, int]:
-    """Per-head cache capacity: 2*(sink+window) key+value cells for each layer
-    below the retrieval layer, plus ``length`` key cells at that layer."""
-    return 2 * (sink + window) * (retrieval_layer - 1), length
+    """Per-head cache cells after a context prefill: 2*min(L, sink+window)
+    key+value cells for each layer below the retrieval layer, plus ``length``
+    key cells at that layer."""
+    return int(2 * min(length, sink + window) * (retrieval_layer - 1)), length
+
+
+def count_dot_products(length: int, query_len: int, stream: StreamConfig) -> int:
+    """Query-key dot products of one compression of ``length`` context and
+    ``query_len`` query tokens.  In each layer below the retrieval layer a
+    chunk of T tokens at position a attends its min(a, min(sink, L)+window)
+    cached rows and itself causally: the context chunks, then the query
+    chunks from L.  Scoring adds L_q*L."""
+    keep = min(stream.sink, length) + stream.window
+    chunks = [*_chunk_bounds(length, stream.chunk, stream.sink),
+              *((length + a, length + b) for a, b in _chunk_bounds(query_len, stream.chunk, 0))]
+    per_layer = sum(min(a, keep) * (b - a) + (b - a) * (b - a + 1) // 2 for a, b in chunks)
+    return int((stream.retrieval_layer - 1) * per_layer + query_len * length)
 
 
 def run_compress(
@@ -113,29 +127,22 @@ def run_compress(
         return CompressResult(allocation=allocation, cost=cost, bypassed=True,
                               output_ids=list(context.ids) + list(query.ids))
 
-    counter = OpCounter()
-
-    def stage(name: str, fn, *args, **kwargs):
+    def stage(name: str, fn, *args):
         try:
-            return fn(*args, **kwargs)
+            return fn(*args)
         except Exception as exc:  # noqa: BLE001 - re-raised with stage context
             raise PipelineError(name, exc) from exc
 
     # prefill segments, attention row groups and scoring heads share one pool
     with worker_scope():
-        cache = stage("context-prefill", stream_prefill_context, weights, stream, context,
-                      counter)
-        query_states = stage("query-prefill", prefill_query_part, weights, stream, cache,
-                             query, counter=counter)
-        values = stage("scoring", query_context_scores, query_states, cache.full_k, counter)
+        cache = stage("context-prefill", stream_prefill_context, weights, stream, context)
+        query_states = stage("query-prefill", prefill_query_part, weights, stream, cache, query)
+        values = stage("scoring", query_context_scores, query_states, cache.full_k)
     scores = stage("scoring", reduce_scores, values, cache.sink_len)
     allocation = stage("allocation", context_allocate, scores, pooling, context, cache.sink_len)
-    low, retrieval = cache.cache_cell_counts()
-    cost = CostReport(
-        dot_products=counter.dot_products,
-        cache_cells_low=low,
-        cache_cells_retrieval=retrieval,
-        wall_seconds=time.perf_counter() - started)
+    cells = count_cache_cells(length, stream.sink, stream.window, stream.retrieval_layer)
+    cost = CostReport(count_dot_products(length, len(query), stream), *cells,
+                      time.perf_counter() - started)
     return CompressResult(allocation=allocation, cost=cost, bypassed=False,
                           output_ids=list(allocation.compressed.ids) + list(query.ids))
 
@@ -143,24 +150,6 @@ def run_compress(
 def synthetic_ids(length: int, vocab: int, seed: int, tag: str = "bench") -> TokenSeq:
     """Deterministic filler token ids for cost measurements."""
     return TokenSeq(seeded_rng(seed, f"{tag}.{length}").integers(4, vocab, size=length).tolist())
-
-
-def count_dot_products(
-    weights: Weights,
-    length: int,
-    query_len: int,
-    stream: StreamConfig,
-) -> int:
-    """Instrumented dot-product count of one compression at the given sizes."""
-    budget = min(64, max(0, length - stream.sink - 1))
-    pooling = PoolingConfig(max_kernels=(1,), avg_kernels=(1,), budget=budget)
-    spec = weights.spec
-    context = synthetic_ids(length, spec.vocab, spec.seed)
-    query = synthetic_ids(query_len, spec.vocab, spec.seed, tag="bench-query")
-    result = run_compress(weights, stream, pooling, context, query)
-    if result.bypassed:
-        raise ValueError("budget covers the context; nothing was measured")
-    return result.cost.dot_products
 
 
 def linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:

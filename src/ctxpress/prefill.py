@@ -19,12 +19,12 @@ import numpy as np
 from ctxpress import model
 from ctxpress.codec import TokenSeq
 from ctxpress.model import (
-    OpCounter,
     Weights,
     embed,
     layer_forward,
     project_keys,
     project_queries,
+    require_ints,
     rotary_tables,
     run_parts,
 )
@@ -42,6 +42,7 @@ class StreamConfig:
     retrieval_layer: int = 1
 
     def __post_init__(self) -> None:
+        require_ints(self, self.sink, self.window, self.chunk, self.retrieval_layer)
         if self.sink < 0 or self.window < 1 or self.chunk < 1 or self.retrieval_layer < 1:
             raise ValueError(f"invalid stream config {self}")
 
@@ -61,12 +62,6 @@ class StreamCache:
     layers: list[tuple[np.ndarray, np.ndarray]]
     full_k: np.ndarray  # (H, L, d_h) keys at the retrieval layer
 
-    def cache_cell_counts(self) -> tuple[int, int]:
-        """(key+value cells in layers below, key cells at the retrieval layer),
-        counted per head."""
-        low = sum(2 * k.shape[1] for k, _ in self.layers)
-        return low, self.length
-
 
 def _chunk_bounds(total: int, chunk: int, sink: int) -> list[tuple[int, int]]:
     # first chunk is chunk+sink tokens, the rest are chunk, last may be short
@@ -83,7 +78,6 @@ def _prefill_chunks(
     walk: list[tuple[int, int]],
     owned: int,
     sink_len: int,
-    counter: OpCounter | None,
 ):
     """The one chunk step of context and query prefill: runs each
     ``(start, end)`` chunk of ``ids`` in ``walk`` (ascending) through layers
@@ -91,18 +85,13 @@ def _prefill_chunks(
     yields ``(start, end, x, rotary)``, the chunk's input to the retrieval
     layer and its rotary tables.  Each entry of ``layers`` is rebound to
     the attended rows, trimmed to the first ``sink_len`` and the last
-    ``window``; no array is mutated.  ``counter`` gains the yielded chunks'
-    ``cached*T + T(T+1)/2`` dot products per chunk of T tokens and layer.
+    ``window``; no array is mutated.
     """
     keep = sink_len + config.window
     for step, (start, end) in enumerate(walk):
-        t = end - start
         rotary = rotary_tables(weights, np.arange(offset + start, offset + end))
         x = embed(weights, ids[start:end])
         for i, (k, v) in enumerate(layers):
-            cached = k.shape[1]
-            if counter is not None and step >= owned:
-                counter.add(cached * t + t * (t + 1) // 2)
             x, k, v = layer_forward(weights, i + 1, x, rotary, None, cache_k=k, cache_v=v)
             if k.shape[1] > keep:
                 k = np.concatenate([k[:, :sink_len], k[:, -config.window:]], axis=1)
@@ -123,7 +112,6 @@ def stream_prefill_context(
     weights: Weights,
     config: StreamConfig,
     context: TokenSeq,
-    counter: OpCounter | None = None,
 ) -> StreamCache:
     """Run the context through layers below the retrieval layer in chunks,
     caching sink+window KV there and full-length keys at the retrieval layer.
@@ -135,9 +123,9 @@ def stream_prefill_context(
     rows, written by chunk 0 only, and the last ``window`` rows, so it is
     exact m = ceil(window / chunk) chunks after the layer below it.  A
     segment owning chunks a.. walks chunk 0 and the warm = (l_R - 1) * m
-    chunks before a, then writes its rows of ``full_k``, counting only its
-    own chunks; the cache keeps the last segment's layers.  A failing
-    segment raises once every segment is done.
+    chunks before a, then writes its rows of ``full_k``; the cache keeps
+    the last segment's layers.  A failing segment raises once every
+    segment is done.
     """
     spec = weights.spec
     config.validate(spec.layers)
@@ -153,22 +141,18 @@ def stream_prefill_context(
     segments = _segment_count(len(bounds), warm)
     cuts = [s * len(bounds) // segments for s in range(segments + 1)]
 
-    def run_segment(s: int) -> tuple[list[tuple[np.ndarray, np.ndarray]], int]:
+    def run_segment(s: int) -> list[tuple[np.ndarray, np.ndarray]]:
         a, b = cuts[s], cuts[s + 1]
         walk = [bounds[0], *bounds[max(1, a - warm):b]]
         empty = np.zeros((spec.heads, 0, spec.head_dim))
         layers = [(empty, empty)] * (lr - 1)
-        own = OpCounter()
         for start, end, x, rotary in _prefill_chunks(
-                weights, config, layers, ids, 0, walk, len(walk) - (b - a), sink_len, own):
+                weights, config, layers, ids, 0, walk, len(walk) - (b - a), sink_len):
             full_k[:, start:end] = project_keys(weights, lr, x, rotary)
-        return layers, own.dot_products
+        return layers
 
-    results = run_parts(run_segment, segments)
-    if counter is not None:
-        counter.add(sum(dots for _, dots in results))
-    return StreamCache(length=length, sink_len=sink_len, layers=results[-1][0],
-                       full_k=full_k)
+    layers = run_parts(run_segment, segments)[-1]
+    return StreamCache(length=length, sink_len=sink_len, layers=layers, full_k=full_k)
 
 
 def prefill_query_part(
@@ -176,7 +160,6 @@ def prefill_query_part(
     config: StreamConfig,
     cache: StreamCache,
     query: TokenSeq,
-    counter: OpCounter | None = None,
 ) -> np.ndarray:
     """Run the query tokens over the context caches and return the
     rotary-encoded query states (H, L_q, d_h) at the retrieval layer.
@@ -194,5 +177,5 @@ def prefill_query_part(
     states = [project_queries(weights, lr, x, rotary)
               for _, _, x, rotary in _prefill_chunks(
                   weights, config, list(cache.layers), ids, cache.length,
-                  _chunk_bounds(len(ids), config.chunk, 0), 0, cache.sink_len, counter)]
+                  _chunk_bounds(len(ids), config.chunk, 0), 0, cache.sink_len)]
     return np.concatenate(states, axis=1)

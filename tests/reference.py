@@ -22,7 +22,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ctxpress.allocator import query_context_scores, reduce_scores
 from ctxpress.model import (
-    OpCounter,
     Weights,
     embed,
     layer_forward,
@@ -230,7 +229,7 @@ def serial_prefill(weights: Weights, ids: list[int], sink: int, window: int, chu
     full_k = np.zeros((spec.heads, length, spec.head_dim))
     empty = np.zeros((spec.heads, 0, spec.head_dim))
     layers = [(empty, empty)] * (retrieval_layer - 1)
-    counter = OpCounter()
+    dots = 0
     start = 0
     while start < length:
         end = min(length, start + chunk + (sink if start == 0 else 0))
@@ -238,7 +237,7 @@ def serial_prefill(weights: Weights, ids: list[int], sink: int, window: int, chu
         positions = np.arange(start, end, dtype=np.int64)
         x = embed(weights, ids[start:end])
         for i, (k, v) in enumerate(layers):
-            counter.add(k.shape[1] * t + t * (t + 1) // 2)
+            dots += k.shape[1] * t + t * (t + 1) // 2
             x, k, v = layer_forward(weights, i + 1, x, rotary_tables(weights, positions), None,
                                     cache_k=k, cache_v=v)
             if k.shape[1] > sink_len + window:
@@ -248,7 +247,7 @@ def serial_prefill(weights: Weights, ids: list[int], sink: int, window: int, chu
         full_k[:, start:end] = project_keys(weights, retrieval_layer, x,
                                             rotary_tables(weights, positions))
         start = end
-    return full_k, layers, counter.dot_products
+    return full_k, layers, dots
 
 
 def naive_max_pool(values: list[float], size: int) -> list[float]:

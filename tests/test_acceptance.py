@@ -39,7 +39,7 @@ from ctxpress.pipeline import (
     synthetic_ids,
 )
 from ctxpress.prefill import StreamConfig, prefill_query_part, stream_prefill_context
-from reference import monolithic_pipeline_scores
+from reference import monolithic_pipeline_scores, serial_prefill
 
 
 def _philox(a, b=0):
@@ -160,7 +160,8 @@ def test_criterion_4_long_span_coverage():
 
 
 def test_criterion_5_cost_accounting():
-    """Cache-cell formula integer-exact vs a live cache; dot counts affine."""
+    """Cache-cell formula integer-exact vs a live cache; dot counts equal to
+    the serial walk's live count and affine."""
     assert count_cache_cells(131072, 4, 512, 3) == (2064, 131072)
 
     # live inspection at the pinned (L, S, W, l_R); small model keeps it quick
@@ -168,17 +169,22 @@ def test_criterion_5_cost_accounting():
     config = StreamConfig(sink=4, window=512, chunk=512, retrieval_layer=3)
     ctx = synthetic_ids(131072, 32768, 7)
     cache = stream_prefill_context(weights, config, ctx)
-    assert cache.cache_cell_counts() == (2064, 131072)
+    assert (sum(2 * k.shape[1] for k, _ in cache.layers), cache.length) == (2064, 131072)
 
-    # instrumented counts are exactly affine in L for chunk-aligned lengths
+    # counts equal the serial prefill's live count and are exactly affine in
+    # L for chunk-aligned lengths
     cfg = StreamConfig(sink=4, window=64, chunk=128, retrieval_layer=3)
     lengths = [256, 384, 512, 640, 768, 896, 1024]
-    counts = [count_dot_products(weights, n, 16, cfg) for n in lengths]
+    for n in lengths:
+        ids = synthetic_ids(n, 32768, 7).ids
+        live = serial_prefill(weights, ids, cfg.sink, cfg.window, cfg.chunk, 3)[2]
+        assert count_dot_products(n, 0, cfg) == live
+    counts = [count_dot_products(n, 16, cfg) for n in lengths]
     _, _, r2 = linear_fit(np.array(lengths, dtype=float), np.array(counts, dtype=float))
     assert abs(r2 - 1.0) <= 1e-9
     diffs = {b - a for a, b in zip(counts, counts[1:])}
     assert len(diffs) == 1  # second differences vanish: exactly affine
-    print(f"\nACCEPTANCE 5 PASS: cells (2064, 131072) == live cache; dot count "
+    print(f"\nACCEPTANCE 5 PASS: cells (2064, 131072) == live cache; dot count == serial walk, "
           f"affine with R^2 = {r2:.12f} over {len(lengths)} lengths")
 
 

@@ -245,66 +245,88 @@ def test_cache_cells_match_live_cache(tiny_weights):
     from ctxpress.prefill import stream_prefill_context
     cfg = StreamConfig(sink=4, window=32, chunk=64, retrieval_layer=3)
     cache = stream_prefill_context(tiny_weights, cfg, _seq(500))
-    assert cache.cache_cell_counts() == count_cache_cells(500, 4, 32, 3)
+    live = sum(2 * k.shape[1] for k, _ in cache.layers), cache.length
+    assert live == count_cache_cells(500, 4, 32, 3)
 
 
-def test_count_lr1_single_query_row(tiny_weights):
+def test_count_lr1_single_query_row():
     cfg = StreamConfig(sink=4, window=64, chunk=64, retrieval_layer=1)
-    count = count_dot_products(tiny_weights, 200, 1, cfg)
+    count = count_dot_products(200, 1, cfg)
     assert count == 200  # one query row against the full key cache
 
 
-def test_count_doubles_with_length(tiny_weights):
+def test_count_doubles_with_length():
     cfg = StreamConfig(sink=4, window=32, chunk=64, retrieval_layer=3)
-    a = count_dot_products(tiny_weights, 1024, 8, cfg)
-    b = count_dot_products(tiny_weights, 2048, 8, cfg)
+    a = count_dot_products(1024, 8, cfg)
+    b = count_dot_products(2048, 8, cfg)
     assert 1.9 <= b / a <= 2.1
 
 
-def test_full_attention_grows_superlinearly(tiny_weights):
+def test_full_attention_grows_superlinearly():
     cfg = StreamConfig(sink=4, window=32, chunk=64, retrieval_layer=2)
     ratios = []
     for length in (512, 1024):
-        stream = count_dot_products(tiny_weights, length, 8, cfg)
-        full = count_dot_products(tiny_weights, length, 8,
-                                  StreamConfig(sink=4, window=length, chunk=64,
-                                               retrieval_layer=2))
+        stream = count_dot_products(length, 8, cfg)
+        full = count_dot_products(length, 8, StreamConfig(sink=4, window=length, chunk=64,
+                                                          retrieval_layer=2))
         ratios.append(full / stream)
     assert ratios[1] / ratios[0] >= 1.5
 
 
 # --- configs ------------------------------------------------------------------
 
+def _kept(n, config, fields, error):
+    """A row under the id pytest once gave it by position (``fields<n>``), so
+    that adding or deleting a row renames no other."""
+    return pytest.param(config, fields, error,
+                        id=f"{config.__name__}-fields{n}-{error.__name__}")
+
+
 @pytest.mark.parametrize("config, fields, error", [
-    (ModelSpec, {"vocab": 0}, DimensionMismatch),
-    (ModelSpec, {"dim": 0}, DimensionMismatch),
-    (ModelSpec, {"heads": 0}, DimensionMismatch),
-    (ModelSpec, {"rope_base": 0.0}, ValueError),
-    (ModelSpec, {"dim": 64, "heads": 5}, DimensionMismatch),
-    (ModelSpec, {"dim": 12, "heads": 4}, DimensionMismatch),  # odd head_dim
-    (ModelSpec, {"layers": 1}, DimensionMismatch),
-    (StreamConfig, {"sink": -1}, ValueError),
-    (StreamConfig, {"window": 0}, ValueError),
-    (StreamConfig, {"chunk": 0}, ValueError),
-    (StreamConfig, {"retrieval_layer": 0}, ValueError),
-    (PoolingConfig, {"max_kernels": ()}, ValueError),
-    (PoolingConfig, {"avg_kernels": ()}, ValueError),
-    (PoolingConfig, {"max_kernels": (0,)}, ValueError),
-    (PoolingConfig, {"avg_kernels": (0,)}, ValueError),
-    (PoolingConfig, {"budget": -1}, ValueError),
-    (NeedleTaskSpec, {"length": 0}, ValueError),
-    (NeedleTaskSpec, {"length": 100, "segments": 0}, ValueError),
-    (NeedleTaskSpec, {"length": 100, "budget": 0}, ValueError),
-    (NeedleTaskSpec, {"length": 100, "key_digits": ()}, ValueError),
-    (NeedleTaskSpec, {"length": 100, "key_digits": (0,)}, ValueError),
-    # appended, so the positional ids of the rows above keep their numbers
-    (ModelSpec, {"rope_base": -1.0}, ValueError),
-    (ModelSpec, {"rope_base": float("nan")}, ValueError),
-    (ModelSpec, {"rope_base": float("inf")}, ValueError),
+    _kept(0, ModelSpec, {"vocab": 0}, DimensionMismatch),
+    _kept(1, ModelSpec, {"dim": 0}, DimensionMismatch),
+    _kept(2, ModelSpec, {"heads": 0}, DimensionMismatch),
+    _kept(3, ModelSpec, {"rope_base": 0.0}, ValueError),
+    _kept(4, ModelSpec, {"dim": 64, "heads": 5}, DimensionMismatch),
+    _kept(5, ModelSpec, {"dim": 12, "heads": 4}, DimensionMismatch),  # odd head_dim
+    _kept(6, ModelSpec, {"layers": 1}, DimensionMismatch),
+    _kept(7, StreamConfig, {"sink": -1}, ValueError),
+    _kept(8, StreamConfig, {"window": 0}, ValueError),
+    _kept(9, StreamConfig, {"chunk": 0}, ValueError),
+    _kept(10, StreamConfig, {"retrieval_layer": 0}, ValueError),
+    _kept(11, PoolingConfig, {"max_kernels": ()}, ValueError),
+    _kept(12, PoolingConfig, {"avg_kernels": ()}, ValueError),
+    _kept(13, PoolingConfig, {"max_kernels": (0,)}, ValueError),
+    _kept(14, PoolingConfig, {"avg_kernels": (0,)}, ValueError),
+    _kept(15, PoolingConfig, {"budget": -1}, ValueError),
+    _kept(16, NeedleTaskSpec, {"length": 0}, ValueError),
+    _kept(17, NeedleTaskSpec, {"length": 100, "segments": 0}, ValueError),
+    _kept(18, NeedleTaskSpec, {"length": 100, "budget": 0}, ValueError),
+    _kept(19, NeedleTaskSpec, {"length": 100, "key_digits": ()}, ValueError),
+    _kept(20, NeedleTaskSpec, {"length": 100, "key_digits": (0,)}, ValueError),
+    _kept(21, ModelSpec, {"rope_base": -1.0}, ValueError),
+    _kept(22, ModelSpec, {"rope_base": float("nan")}, ValueError),
+    _kept(23, ModelSpec, {"rope_base": float("inf")}, ValueError),
+    pytest.param(ModelSpec, {"dim": 64.0}, ValueError, id="ModelSpec-float-dim"),
+    pytest.param(StreamConfig, {"chunk": 64.0}, ValueError, id="StreamConfig-float-chunk"),
+    pytest.param(PoolingConfig, {"budget": 100.0}, ValueError, id="PoolingConfig-float-budget"),
+    pytest.param(NeedleTaskSpec, {"length": 100, "seed": 1.5}, ValueError,
+                 id="NeedleTaskSpec-float-seed"),
 ])
 def test_invalid_config_raises_at_construction(config, fields, error):
     with pytest.raises(error):
         config(**fields)
+
+
+def test_configs_accept_numpy_integers():
+    n = np.int64
+    assert ModelSpec(dim=n(32), heads=n(2), layers=n(4), seed=n(7)).head_dim == 16
+    stream = StreamConfig(sink=n(4), window=n(8), chunk=n(16), retrieval_layer=n(2))
+    PoolingConfig(max_kernels=(n(2),), avg_kernels=(n(1),), budget=n(8))
+    NeedleTaskSpec(length=n(100), key_digits=(n(6),), seed=n(1), budget=n(10))
+    # the costs stay Python ints, so a cost report serializes to JSON
+    cells = count_cache_cells(100, stream.sink, stream.window, stream.retrieval_layer)
+    assert [type(c) for c in (count_dot_products(100, 8, stream), *cells)] == [int] * 3
 
 
 # --- benchmark ----------------------------------------------------------------

@@ -14,7 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 from ctxpress import model, prefill
 from ctxpress.allocator import query_context_scores
 from ctxpress.codec import TokenSeq
-from ctxpress.model import ModelSpec, OpCounter, build_model, rotary_tables
+from ctxpress.model import ModelSpec, build_model, rotary_tables
+from ctxpress.pipeline import count_cache_cells, count_dot_products
 from ctxpress.prefill import (
     EmptyQuery,
     StreamConfig,
@@ -149,14 +150,23 @@ def test_query_states_match_monolithic(toy_weights):
     assert np.abs(states - ref).max() < 1e-5
 
 
-def test_query_attends_sink_window_and_itself(tiny_weights):
+def test_query_attends_sink_window_and_itself(tiny_weights, monkeypatch):
     # with S=4, W=8 the last of 8 query rows sees 4 + 8 + 8 keys
     cfg = StreamConfig(sink=4, window=8, chunk=64, retrieval_layer=2)
     cache = stream_prefill_context(tiny_weights, cfg, _random_seq(64))
-    counter = OpCounter()
-    prefill_query_part(tiny_weights, cfg, cache, _random_seq(8, seed=5), counter=counter)
-    # lambda mask rows: 4+8+(r+1) for r in 0..7
-    assert counter.dot_products == sum(4 + 8 + r + 1 for r in range(8))
+    forward, steps = prefill.layer_forward, []
+
+    def spy(weights, layer, x, *args, cache_k, **kwargs):
+        steps.append((cache_k.shape[1], len(x)))
+        return forward(weights, layer, x, *args, cache_k=cache_k, **kwargs)
+
+    monkeypatch.setattr(prefill, "layer_forward", spy)
+    prefill_query_part(tiny_weights, cfg, cache, _random_seq(8, seed=5))
+    assert steps == [(4 + 8, 8)]  # one chunk in one lower layer
+    # lambda mask rows: 4+8+(r+1) for r in 0..7; scoring adds 8 * 64
+    dots = sum(cached * t + t * (t + 1) // 2 for cached, t in steps)
+    assert dots == sum(4 + 8 + r + 1 for r in range(8))
+    assert count_dot_products(64, 8, cfg) - count_dot_products(64, 0, cfg) == dots + 8 * 64
 
 
 def test_query_does_not_mutate_cache(tiny_weights):
@@ -196,17 +206,10 @@ def test_prefill_attends_without_dense_masks(tiny_weights, monkeypatch):
 
 # --- dot-product accounting -------------------------------------------------
 
-def test_counter_exactly_affine_in_length(tiny_weights):
+def test_counter_exactly_affine_in_length():
     # lengths share the chunk remainder, so counts are exactly affine
     cfg = StreamConfig(sink=4, window=32, chunk=64, retrieval_layer=3)
-    counts = []
-    for n_chunks in (3, 4, 5, 6):
-        counter = OpCounter()
-        cache = stream_prefill_context(tiny_weights, cfg, _random_seq(64 * n_chunks),
-                                       counter=counter)
-        prefill_query_part(tiny_weights, cfg, cache, _random_seq(8, seed=5),
-                           counter=counter)
-        counts.append(counter.dot_products)
+    counts = [count_dot_products(64 * n_chunks, 8, cfg) for n_chunks in (3, 4, 5, 6)]
     diffs = [b - a for a, b in zip(counts, counts[1:])]
     assert len(set(diffs)) == 1  # zero residual from an affine fit
 
@@ -228,11 +231,14 @@ def test_streaming_matches_dense_lambda_mask(tiny_weights, sink, window, chunk, 
     # chunking, sink and window eviction reproduce one dense-mask forward
     ctx, query = _random_seq(length), _random_seq(query_len, seed=5)
     cfg = StreamConfig(sink=sink, window=window, chunk=chunk, retrieval_layer=lr)
-    counter = OpCounter()
-    cache = stream_prefill_context(tiny_weights, cfg, ctx, counter=counter)
-    states = prefill_query_part(tiny_weights, cfg, cache, query, counter=counter)
-    assert counter.dot_products == (lr - 1) * lambda_mask(length, query_len, sink, window,
-                                                          chunk).sum()
+    cache = stream_prefill_context(tiny_weights, cfg, ctx)
+    states = prefill_query_part(tiny_weights, cfg, cache, query)
+    # the closed-form costs against the mask's popcount and the live cache
+    assert count_dot_products(length, query_len, cfg) == (
+        (lr - 1) * lambda_mask(length, query_len, sink, window, chunk).sum()
+        + query_len * length)
+    assert count_cache_cells(length, sink, window, lr) == (
+        sum(2 * k.shape[1] for k, _ in cache.layers), length)
     k_ref, q_ref = lambda_mask_pipeline(tiny_weights, lr, ctx.ids, query.ids,
                                         sink, window, chunk)
     assert np.abs(cache.full_k - k_ref).max() < 1e-5
@@ -263,17 +269,16 @@ def test_segments_reproduce_the_serial_walk_bit_for_bit(tiny_weights, sink, wind
         threads.add(threading.get_ident())
         return project_keys(*args)
 
-    counter = OpCounter()
     with mock.patch.object(prefill, "_segment_count", lambda chunks, warm: min(cpus, chunks)), \
             mock.patch.object(prefill, "project_keys", on_thread):
-        cache = stream_prefill_context(tiny_weights, cfg, TokenSeq(ids), counter=counter)
+        cache = stream_prefill_context(tiny_weights, cfg, TokenSeq(ids))
     full_k, layers, dots = serial_prefill(tiny_weights, ids, sink, window, chunk, lr)
     assert (len(threads) > 1) == (segments > 1)  # segments past the first ran off the caller
     assert np.array_equal(cache.full_k, full_k)
     assert len(cache.layers) == len(layers)
     for (k, v), (k_ref, v_ref) in zip(cache.layers, layers):
         assert np.array_equal(k, k_ref) and np.array_equal(v, v_ref)
-    assert counter.dot_products == dots
+    assert count_dot_products(length, 0, cfg) == dots
 
 
 @pytest.mark.parametrize("lr", [1, 2, 3, 4])
