@@ -2,9 +2,10 @@
 
 The query states attend over the full-length key cache; the resulting
 probabilities collapse to one score per context position (max over heads and
-query rows, sink excluded).  The allocator then spreads the token budget
-evenly across every (max kernel, avg kernel) combination, ranking pooled
-windows per combination and deduplicating as it goes.  With a single size-1
+query rows), and the sink's are dropped: score position p is context index
+sink + p.  The allocator then spreads the token budget evenly across every
+(max kernel, avg kernel) combination, ranking pooled windows of score
+positions per combination and deduplicating as it goes.  With a single size-1
 max kernel and a single size-1 avg kernel this degenerates to plain top-k
 over raw scores.  All tie-breaks prefer the lower index.
 """
@@ -25,20 +26,6 @@ from ctxpress.model import require_ints, run_parts, softmax_rows
 
 class DegenerateContext(ValueError):
     """Context has no scoreable positions beyond the sink."""
-
-
-@dataclass
-class ScoreVector:
-    """One reduced attention score per non-sink context position.
-
-    ``values[c]`` belongs to absolute context index ``origin + c``.
-    """
-
-    values: np.ndarray
-    origin: int  # sink size, the first scored absolute index
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -114,12 +101,13 @@ def query_context_scores(
     return best.max(axis=0)
 
 
-def reduce_scores(values: np.ndarray, sink: int) -> ScoreVector:
-    """Drop the sink positions from the (L,) per-position scores."""
+def reduce_scores(values: np.ndarray, sink: int) -> np.ndarray:
+    """Drop the sink positions from the (L,) per-position scores: entry p
+    of the (L - sink,) result is score position p, context index sink + p."""
     length = len(values)
     if length <= sink:
         raise DegenerateContext(f"context length {length} <= sink {sink}")
-    return ScoreVector(values=values[sink:], origin=sink)
+    return values[sink:]
 
 
 def _max_pool(values: np.ndarray, size: int) -> np.ndarray:
@@ -195,7 +183,7 @@ BATCH = 1 << 16
 
 
 def pooled_ranking(
-    scores: ScoreVector,
+    length: int,
     avgs: np.ndarray,
     m: int,
     n: int,
@@ -203,23 +191,22 @@ def pooled_ranking(
 ) -> Iterator[np.ndarray]:
     """Stream the ranked windows of one (max m, avg n) combination in
     batches of consecutive ranked windows, each batch one int64 array of
-    absolute context indices.
+    score positions 0..length-1.
 
-    ``avgs`` holds the combination's window means, ``WindowMeans(
-    _max_pool(scores.values, m)).mean(n)``.  Windows are ranked by
+    ``avgs`` holds the combination's window means over ``length`` scores,
+    ``WindowMeans(_max_pool(scores, m)).mean(n)``.  Windows are ranked by
     descending mean, ties to the lower position, at most ``max_windows``
     of them, best first; inside a window, offsets ascend.  A batch lists
-    each index once, where its first window has it; a later batch may list
+    each position once, where its first window has it; a later batch may list
     it again.  Only the windows of the batches a caller draws get ranked.
     """
-    length = len(scores.values)
     if length == 0:
         return
     total = len(avgs) if max_windows is None else min(max_windows, len(avgs))
     buckets = -(-length // m)
     width = min(n, buckets)  # buckets per window
     cells = np.arange(width)
-    offsets = np.arange(scores.origin, scores.origin + m, dtype=np.int64)
+    offsets = np.arange(m, dtype=np.int64)
     first = np.empty(buckets, dtype=np.int64)
     limit = max(1, BATCH // (width * m))
     done, count = 0, min(FIRST_WINDOWS, limit)
@@ -234,13 +221,13 @@ def pooled_ranking(
         batch = (held[:, None] * m + offsets).ravel()
         if length % m and starts.max() == len(avgs) - 1:
             # the last window ends in a short bucket
-            batch = batch[batch < length + scores.origin]
+            batch = batch[batch < length]
         yield batch
         done, count = upto, min(4 * count, limit)
 
 
 def _take(batches: Iterator[np.ndarray], free: np.ndarray, need: int) -> int:
-    """Take the first ``need`` indices still ``free`` from the ranked
+    """Take the first ``need`` positions still ``free`` from the ranked
     ``batches``, in stream order, and clear them in ``free``; returns how
     many were taken (fewer if the batches run out)."""
     taken = 0
@@ -254,52 +241,50 @@ def _take(batches: Iterator[np.ndarray], free: np.ndarray, need: int) -> int:
 
 
 def context_allocate(
-    scores: ScoreVector,
+    scores: np.ndarray,
     cfg: PoolingConfig,
     context: TokenSeq,
     sink: int,
 ) -> AllocationResult:
     """Distribute the budget over kernel combinations and gather the kept ids.
 
-    The sink is always kept.  Each combination receives floor(B/N) indices
-    (the first B mod N combinations one extra, in loop order: max kernels
-    outer, avg kernels inner) and takes them from its ranked windows,
-    skipping indices already taken (a boolean ``free`` mask over the
-    context).  A combination falls short when its ``B // m + 1`` window
-    cap lets through fewer new indices than its quota, e.g. when the top
+    ``scores`` has one score per position past the sink, and score position
+    p is context index sink + p.  The sink is always kept.  Each combination
+    receives floor(B/N) positions (the first B mod N combinations one extra,
+    in loop order: max kernels outer, avg kernels inner) and takes them from
+    its ranked windows, skipping those already taken (a boolean ``free``
+    mask).  A combination falls short when its ``B // m + 1`` window cap
+    lets through fewer new positions than its quota, e.g. when the top
     window is a short trailing bucket; a final pass over the plain (1, 1)
     ranking then tops up the shortfall so |indices| == min(sink + B, L).
     """
     length = len(context)
     sink_count = min(sink, length)
-    if len(scores.values) != length - sink_count or scores.origin != sink_count:
-        raise ValueError(
-            f"scores cover {len(scores.values)} positions from {scores.origin}, "
-            f"expected {length - sink_count} from {sink_count}")
+    if len(scores) != length - sink_count:
+        raise ValueError(f"{len(scores)} scores for {length - sink_count} positions past the sink")
     target = min(sink_count + cfg.budget, length)
     used_fallback = False
     if target >= length:
         indices = list(range(length))
     else:
-        free = np.ones(length, dtype=bool)
-        free[:sink_count] = False
-        kept = sink_count
+        free = np.ones(len(scores), dtype=bool)
+        kept = 0
         base, extra = divmod(cfg.budget, len(cfg.max_kernels) * len(cfg.avg_kernels))
         combo = 0
         for m in cfg.max_kernels:
-            means = WindowMeans(_max_pool(scores.values, m))
+            means = WindowMeans(_max_pool(scores, m))
             cap = cfg.budget // m + 1
             for n in cfg.avg_kernels:
                 quota = base + (1 if combo < extra else 0)
                 combo += 1
                 if quota > 0:
-                    kept += _take(pooled_ranking(scores, means.mean(n), m, n, max_windows=cap),
-                                  free, quota)
-        if kept < target:
+                    kept += _take(pooled_ranking(len(scores), means.mean(n), m, n,
+                                                 max_windows=cap), free, quota)
+        if kept < cfg.budget:
             used_fallback = True
             # the size-1 windows of a size-1 max pool are the scores themselves
-            kept += _take(pooled_ranking(scores, scores.values, 1, 1), free, target - kept)
-        indices = np.flatnonzero(~free).tolist()
+            kept += _take(pooled_ranking(len(scores), scores, 1, 1), free, cfg.budget - kept)
+        indices = [*range(sink_count), *(np.flatnonzero(~free) + sink_count).tolist()]
     assert len(indices) == target, f"allocated {len(indices)} != target {target}"
     compressed = TokenSeq([context.ids[i] for i in indices])
     return AllocationResult(indices=indices, compressed=compressed,

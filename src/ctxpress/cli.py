@@ -103,8 +103,7 @@ def cmd_select_layer(args: argparse.Namespace) -> int:
     stream = StreamConfig(sink=args.sink, window=args.window, chunk=args.chunk)
     selected, report = select_retrieval_layer(weights, task, parse_int_list(args.layers),
                                               _pooling(args), stream)
-    _write_json(args.out, report.to_json(
-        {key: value for key, value in asdict(task).items() if key != "filler"}))
+    _write_json(args.out, report.to_json(asdict(task)))
     print("mean recall per layer: " + ", ".join(
         f"{layer}: {report.layer_mean(layer):.3f}" for layer in report.layers()))
     print(f"selected retrieval layer {selected} -> {args.out}")

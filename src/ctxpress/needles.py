@@ -49,7 +49,6 @@ class NeedleTaskSpec:
     segments: int = 20
     seed: int = 0
     budget: int = 1024
-    filler: str | None = None  # defaults to the bundled corpus
 
     def __post_init__(self) -> None:
         require_ints(self, self.length, self.segments, self.seed, self.budget, *self.key_digits)
@@ -82,21 +81,18 @@ def cell_rng(seed: int, depth_index: int, key_digits: int) -> np.random.Generato
 
 
 @lru_cache(maxsize=4)
-def _encoded_corpus(corpus: str, vocab: Vocab) -> tuple[tuple[int, ...],
-                                                        tuple[tuple[int, str], ...]]:
-    """The ids of ``corpus`` and its memo entries (id, first piece) in the
-    order ``encode`` writes them, tokenized once per corpus and vocab."""
+def _encoded_corpus(vocab: Vocab) -> tuple[tuple[int, ...], tuple[tuple[int, str], ...]]:
+    """The ids of the bundled corpus and its memo entries (id, first piece)
+    in the order ``encode`` writes them, tokenized once per vocab."""
     memo: dict[int, str] = {}
-    return tuple(encode(corpus, vocab, memo).ids), tuple(memo.items())
+    return tuple(encode(default_filler(), vocab, memo).ids), tuple(memo.items())
 
 
-def _filler_ids(corpus: str, needed: int, vocab: Vocab, memo: dict[int, str]) -> list[int]:
-    base, entries = _encoded_corpus(corpus, vocab)
+def _filler_ids(needed: int, vocab: Vocab, memo: dict[int, str]) -> list[int]:
+    base, entries = _encoded_corpus(vocab)
     # first write wins, as if ``encode`` had filled ``memo`` itself
     for tid, piece in entries:
         memo.setdefault(tid, piece)
-    if not base:
-        raise ValueError("filler corpus produced no tokens")
     if len(base) >= needed:
         return list(base[:needed])
     warnings.warn(
@@ -142,8 +138,7 @@ def generate_needle_instance(
         raise ValueError(
             f"needle of {len(needle_ids)} tokens does not fit at depth {depth_index} "
             f"in {spec.length} tokens")
-    filler = _filler_ids(spec.filler if spec.filler is not None else default_filler(),
-                         spec.length - len(needle_ids), vocab, memo)
+    filler = _filler_ids(spec.length - len(needle_ids), vocab, memo)
     ids = filler[:seg_start] + needle_ids + filler[seg_start:]
     span = Span("needle", seg_start, seg_start + len(needle_ids))
     context = TokenSeq(ids, [span])

@@ -120,7 +120,7 @@ def monolithic_pipeline_scores(weights: Weights, retrieval_layer: int,
     """One full-causal forward over context ++ query, then query-key scoring.
 
     Uses the model primitives but none of the streaming machinery.  Returns
-    (score vector, context keys at the retrieval layer).
+    (the scores past the sink, context keys at the retrieval layer).
     """
     ids = np.asarray(list(ctx_ids) + list(query_ids), dtype=np.int64)
     total, length = len(ids), len(ctx_ids)

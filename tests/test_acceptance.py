@@ -13,7 +13,6 @@ import pytest
 
 from ctxpress.allocator import (
     PoolingConfig,
-    ScoreVector,
     context_allocate,
     query_context_scores,
     reduce_scores,
@@ -61,7 +60,7 @@ def test_criterion_1_oracle_equivalence():
         states = prefill_query_part(weights, config, cache, query)
         scores = reduce_scores(query_context_scores(states, cache.full_k), cache.sink_len)
         ref_scores, _ = monolithic_pipeline_scores(weights, lr, ctx.ids, query.ids, sink=4)
-        max_diff = np.abs(scores.values - ref_scores.values).max()
+        max_diff = np.abs(scores - ref_scores).max()
         assert max_diff < 1e-5, f"l_R={lr}: A^C diverges by {max_diff}"
         got = context_allocate(scores, pooling, ctx, cache.sink_len)
         want = context_allocate(ref_scores, pooling, ctx, 4)
@@ -90,14 +89,14 @@ def test_criterion_2_budget_exactness():
             cfg = PoolingConfig(max_kernels=max_k, avg_kernels=avg_k, budget=budget)
         values = gen.random(n)
         ctx = TokenSeq(list(range(n + sink)))
-        res = context_allocate(ScoreVector(values, sink), cfg, ctx, sink)
+        res = context_allocate(values, cfg, ctx, sink)
         total = n + sink
         assert len(res.indices) == min(sink + budget, total)
         assert res.indices == sorted(set(res.indices))
         assert all(0 <= i < total for i in res.indices)
         assert set(range(sink)) <= set(res.indices)
         if case % 100 == 0:  # repeated-run determinism
-            again = context_allocate(ScoreVector(values, sink), cfg, ctx, sink)
+            again = context_allocate(values, cfg, ctx, sink)
             assert again.indices == res.indices
         checked += 1
     print(f"\nACCEPTANCE 2 PASS: |I| = min(S+B, L), sorted/unique/sink-inclusive, "
@@ -117,7 +116,7 @@ def test_criterion_3_snapkv_special_case():
             values = np.round(values, 1)
         cfg = PoolingConfig(budget=budget, **cfg_kernels)
         ctx = TokenSeq(list(range(n + sink)))
-        res = context_allocate(ScoreVector(values, sink), cfg, ctx, sink)
+        res = context_allocate(values, cfg, ctx, sink)
         if budget >= n:
             want = list(range(n + sink))
         else:
@@ -142,9 +141,8 @@ def test_criterion_4_long_span_coverage():
             values[start:start + span] = 0.5
             budget = span // 2
             ctx = TokenSeq(list(range(n + 4)))
-            sv = ScoreVector(values, 4)
-            default = context_allocate(sv, PoolingConfig(budget=budget), ctx, 4)
-            single = context_allocate(sv, PoolingConfig(budget=budget, **one_max_avg),
+            default = context_allocate(values, PoolingConfig(budget=budget), ctx, 4)
+            single = context_allocate(values, PoolingConfig(budget=budget, **one_max_avg),
                                       ctx, 4)
             plateau = set(range(start + 4, start + span + 4))
             cover_d = len(plateau & set(default.indices))

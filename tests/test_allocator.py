@@ -16,7 +16,6 @@ from ctxpress import allocator, model
 from ctxpress.allocator import (
     DegenerateContext,
     PoolingConfig,
-    ScoreVector,
     context_allocate,
     pooled_ranking,
     query_context_scores,
@@ -35,14 +34,17 @@ from reference import (
 )
 
 def _scores(values, origin=0):
-    return ScoreVector(values=np.asarray(values, dtype=np.float64), origin=origin)
+    # scores and the context index of score position 0
+    return np.asarray(values, dtype=np.float64), origin
 
 
 def _ranking(vec, m, n, max_windows=None):
     # the caller pools and averages once per max kernel; tests do it per
-    # call.  The ranked batches, flattened into one index stream
-    avgs = allocator.WindowMeans(allocator._max_pool(vec.values, m)).mean(n)
-    return [int(i) for batch in pooled_ranking(vec, avgs, m, n, max_windows=max_windows)
+    # call.  The ranked batches, flattened into one context index stream
+    values, origin = vec
+    avgs = allocator.WindowMeans(allocator._max_pool(values, m)).mean(n)
+    return [origin + int(i)
+            for batch in pooled_ranking(len(values), avgs, m, n, max_windows=max_windows)
             for i in batch]
 
 
@@ -90,8 +92,7 @@ def test_scores_match_dense_oracle(rng):
 
 def test_reduce_identity_single_head_row():
     vec = reduce_scores(np.array([0.2, 0.5, 0.3]), sink=0)
-    assert np.allclose(vec.values, [0.2, 0.5, 0.3])
-    assert vec.origin == 0
+    assert np.allclose(vec, [0.2, 0.5, 0.3])
 
 
 def test_reduce_elementwise_max():
@@ -101,8 +102,8 @@ def test_reduce_elementwise_max():
     q[:, 0, 0] = 1.0
     probs = _loop_softmax(q, k)
     vec = reduce_scores(query_context_scores(q, k), 0)
-    assert np.allclose(vec.values, [probs[1, 0, 0], probs[0, 0, 1]])
-    assert vec.values[0] > 0.9 and vec.values[1] > 0.9
+    assert np.allclose(vec, [probs[1, 0, 0], probs[0, 0, 1]])
+    assert vec[0] > 0.9 and vec[1] > 0.9
 
 
 def test_reduce_matches_triple_loop(rng):
@@ -110,10 +111,10 @@ def test_reduce_matches_triple_loop(rng):
     k = rng.normal(size=(4, 64, 8))
     probs = _loop_softmax(q, k)
     vec = reduce_scores(query_context_scores(q, k), sink=4)
-    assert vec.origin == 4 and len(vec) == 60
+    assert len(vec) == 60
     for c in range(60):
         want = max(probs[h, i, 4 + c] for h in range(4) for i in range(4))
-        assert vec.values[c] == pytest.approx(want)
+        assert vec[c] == pytest.approx(want)
 
 
 def test_reduce_rejects_sink_only():
@@ -370,8 +371,8 @@ def test_tie_breaks_prefer_lower_position():
 
 def test_budget_covers_everything():
     ctx = _context(10)
-    vec = _scores(np.linspace(1, 0, 6), origin=4)
-    res = context_allocate(vec, PoolingConfig(max_kernels=(1,), avg_kernels=(1,), budget=6),
+    res = context_allocate(np.linspace(1, 0, 6),
+                           PoolingConfig(max_kernels=(1,), avg_kernels=(1,), budget=6),
                            ctx, sink=4)
     assert res.indices == list(range(10))
     assert res.compressed.ids == ctx.ids
@@ -379,8 +380,8 @@ def test_budget_covers_everything():
 
 def test_zero_budget_keeps_sink_only():
     ctx = _context(10)
-    vec = _scores(np.linspace(1, 0, 6), origin=4)
-    res = context_allocate(vec, PoolingConfig(max_kernels=(1,), avg_kernels=(1,), budget=0),
+    res = context_allocate(np.linspace(1, 0, 6),
+                           PoolingConfig(max_kernels=(1,), avg_kernels=(1,), budget=0),
                            ctx, sink=4)
     assert res.indices == [0, 1, 2, 3]
 
@@ -393,7 +394,7 @@ def test_snapkv_special_case_equals_topk(rng):
         values = gen.random(n)
         budget = int(gen.integers(0, n))
         cfg = PoolingConfig(max_kernels=(1,), avg_kernels=(1,), budget=budget)
-        res = context_allocate(_scores(values, origin=sink), cfg, _context(n + sink), sink)
+        res = context_allocate(values, cfg, _context(n + sink), sink)
         top = np.argsort(-values, kind="stable")[:budget] + sink
         want = sorted(set(range(sink)) | set(int(i) for i in top))
         assert res.indices == want
@@ -409,7 +410,7 @@ def test_matches_naive_reimplementation(rng):
         avg_k = sorted(set(int(x) for x in gen.integers(1, 17, size=int(gen.integers(1, 6)))))
         values = gen.random(n)
         cfg = PoolingConfig(max_kernels=tuple(max_k), avg_kernels=tuple(avg_k), budget=budget)
-        got = context_allocate(_scores(values, origin=sink), cfg, _context(n + sink), sink)
+        got = context_allocate(values, cfg, _context(n + sink), sink)
         want = naive_allocate(values, sink, budget, max_k, avg_k, n + sink)
         assert got.indices == want, (trial, n, sink, budget, max_k, avg_k)
 
@@ -429,7 +430,7 @@ def test_window_allocation_matches_naive_loop_with_ties(levels, sink, budget, ma
     values = np.asarray(levels)
     total = len(values) + sink
     cfg = PoolingConfig(max_kernels=tuple(max_k), avg_kernels=tuple(avg_k), budget=budget)
-    got = context_allocate(_scores(values, origin=sink), cfg, _context(total), sink)
+    got = context_allocate(values, cfg, _context(total), sink)
     assert got.indices == naive_allocate(values, sink, budget, max_k, avg_k, total)
 
 
@@ -440,14 +441,14 @@ def test_every_combination_with_a_quota_draws_a_window(monkeypatch, budget):
     drawn = []
     ranking = allocator.pooled_ranking
 
-    def recorded(scores, pooled, m, n, max_windows=None):
-        for window in ranking(scores, pooled, m, n, max_windows=max_windows):
+    def recorded(length, pooled, m, n, max_windows=None):
+        for window in ranking(length, pooled, m, n, max_windows=max_windows):
             drawn.append((m, n, max_windows))
             yield window
 
     monkeypatch.setattr(allocator, "pooled_ranking", recorded)
     cfg = PoolingConfig(budget=budget)
-    res = context_allocate(_scores(_rng(8).random(4000), 4), cfg, _context(4004), 4)
+    res = context_allocate(_rng(8).random(4000), cfg, _context(4004), 4)
     assert not res.used_fallback
     combos = [(m, n, budget // m + 1) for m in cfg.max_kernels for n in cfg.avg_kernels]
     assert set(drawn) == set(combos[:budget])
@@ -464,7 +465,7 @@ def test_batched_allocation_equals_the_window_loop(shape, ties):
     if ties:
         values = np.round(values, 2)
     cfg = PoolingConfig(budget=budget)
-    got = context_allocate(_scores(values, 4), cfg, _context(length), 4)
+    got = context_allocate(values, cfg, _context(length), 4)
     want = window_loop_allocate(values, 4, budget, cfg.max_kernels, cfg.avg_kernels, length)
     assert got.indices == want
 
@@ -473,19 +474,19 @@ def test_a_take_batch_stays_within_its_bound(monkeypatch):
     # the top-up ranks every window of the scores; its batches grow four
     # times over but never past BATCH indices
     monkeypatch.setattr(allocator, "BATCH", 1000)
-    vec = _scores(_rng(6).random(20_000), 4)
-    sizes = [len(batch) for batch in pooled_ranking(vec, vec.values, 1, 1)]
+    values = _rng(6).random(20_000)
+    sizes = [len(batch) for batch in pooled_ranking(len(values), values, 1, 1)]
     assert sizes[:3] == [allocator.FIRST_WINDOWS, 4 * allocator.FIRST_WINDOWS, 1000]
     assert max(sizes) == 1000 and sum(sizes) == 20_000
-    avgs = allocator.WindowMeans(allocator._max_pool(vec.values, 8)).mean(16)
-    assert max(len(batch) for batch in pooled_ranking(vec, avgs, 8, 16)) <= 1000
+    avgs = allocator.WindowMeans(allocator._max_pool(values, 8)).mean(16)
+    assert max(len(batch) for batch in pooled_ranking(len(values), avgs, 8, 16)) <= 1000
 
 
 def test_remainder_spread_over_earliest_combinations():
     # B=3 over 2x1 combos: first combo takes 2, second takes 1
     values = np.array([0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2])
     cfg = PoolingConfig(max_kernels=(1, 2), avg_kernels=(1,), budget=3)
-    res = context_allocate(_scores(values), cfg, _context(8), sink=0)
+    res = context_allocate(values, cfg, _context(8), sink=0)
     # combo (1,1) takes 0,1; combo (2,1) ranks bucket {0,1} first but both are
     # taken, so it reaches into bucket {2,3} and takes 2
     assert res.indices == [0, 1, 2]
@@ -503,7 +504,7 @@ def test_max_pool_runs_once_per_max_kernel(monkeypatch):
     monkeypatch.setattr(allocator, "_max_pool", counted)
     cfg = PoolingConfig()
     values = _rng(3).random(20_000)
-    res = context_allocate(_scores(values, origin=4), cfg, _context(20_004), 4)
+    res = context_allocate(values, cfg, _context(20_004), 4)
     assert len(res.indices) == 4 + cfg.budget
     assert calls == list(cfg.max_kernels)
 
@@ -513,7 +514,7 @@ def test_max_pool_runs_once_per_max_kernel(monkeypatch):
 def test_allocation_size_invariant(n, budget, sink, seed):
     values = _rng(seed).random(n)
     cfg = PoolingConfig(budget=budget)
-    res = context_allocate(_scores(values, origin=sink), cfg, _context(n + sink), sink)
+    res = context_allocate(values, cfg, _context(n + sink), sink)
     total = n + sink
     assert len(res.indices) == min(sink + budget, total)
     assert res.indices == sorted(set(res.indices))
@@ -528,15 +529,15 @@ def test_scale_invariance_for_dyadic_factors(n, budget, seed, factor):
     # dyadic factors rescale floats exactly, so ranking order is untouched
     values = _rng(seed).random(n)
     cfg = PoolingConfig(budget=budget)
-    a = context_allocate(_scores(values, 4), cfg, _context(n + 4), 4)
-    b = context_allocate(_scores(values * factor, 4), cfg, _context(n + 4), 4)
+    a = context_allocate(values, cfg, _context(n + 4), 4)
+    b = context_allocate(values * factor, cfg, _context(n + 4), 4)
     assert a.indices == b.indices
 
 
 def test_determinism_across_runs(rng):
     values = rng.random(257)
     cfg = PoolingConfig(budget=100)
-    runs = [context_allocate(_scores(values, 4), cfg, _context(261), 4).indices
+    runs = [context_allocate(values, cfg, _context(261), 4).indices
             for _ in range(3)]
     assert runs[0] == runs[1] == runs[2]
 
@@ -545,7 +546,7 @@ def test_allocated_indices_come_from_ranked_windows(rng):
     # every non-sink pick must fall inside a top-K_m window of some combination
     values = rng.random(300)
     cfg = PoolingConfig(budget=120)
-    res = context_allocate(_scores(values, 4), cfg, _context(304), 4)
+    res = context_allocate(values, cfg, _context(304), 4)
     assert not res.used_fallback
     covered = set()
     for m in cfg.max_kernels:
@@ -559,12 +560,12 @@ def test_fallback_tops_up_short_trailing_window():
     # max kernel 8 over 11 scores leaves a trailing bucket {8, 9, 10}; the
     # window cap 7 // 8 + 1 = 1 admits only that top bucket, whose 3 indices
     # fall short of the quota of 7, so the (1, 1) pass tops up the rest
-    values = [.1] * 8 + [.9, .2, .3]
+    values = np.array([.1] * 8 + [.9, .2, .3])
     cfg = PoolingConfig(max_kernels=(8,), avg_kernels=(1,), budget=7)
-    res = context_allocate(_scores(values), cfg, _context(11), 0)
+    res = context_allocate(values, cfg, _context(11), 0)
     assert res.used_fallback
     assert res.indices == [0, 1, 2, 3, 8, 9, 10]
-    assert res.indices == naive_allocate(np.asarray(values), 0, 7, [8], [1], 11)
+    assert res.indices == naive_allocate(values, 0, 7, [8], [1], 11)
 
 
 def test_plateau_with_decoy_spike_matches_naive_loop():
@@ -578,7 +579,7 @@ def test_plateau_with_decoy_spike_matches_naive_loop():
     ctx = _context(68)
     for max_k, avg_k in (((2, 4, 8), tuple(range(1, 17))), ((4,), (5,))):
         cfg = PoolingConfig(max_kernels=max_k, avg_kernels=avg_k, budget=32)
-        got = context_allocate(_scores(values, 4), cfg, ctx, 4)
+        got = context_allocate(values, cfg, ctx, 4)
         want = naive_allocate(values, 4, 32, list(max_k), list(avg_k), 68)
         assert got.indices == want
 
@@ -595,19 +596,17 @@ def test_multi_kernel_covers_plateau_at_least_as_well():
             values[start:start + span] = 0.5
             ctx = _context(n + 4)
             budget = span // 2
-            default = context_allocate(_scores(values, 4), PoolingConfig(budget=budget),
-                                       ctx, 4)
+            default = context_allocate(values, PoolingConfig(budget=budget), ctx, 4)
             single = context_allocate(
-                _scores(values, 4),
-                PoolingConfig(max_kernels=(4,), avg_kernels=(5,), budget=budget), ctx, 4)
+                values, PoolingConfig(max_kernels=(4,), avg_kernels=(5,), budget=budget), ctx, 4)
             plateau = set(range(start + 4, start + span + 4))
             assert len(plateau & set(default.indices)) >= len(plateau & set(single.indices))
 
 
 def test_compressed_gathers_context_ids():
     ctx = TokenSeq([7, 8, 9, 10, 11])
-    vec = _scores([0.1, 0.9, 0.3], origin=2)
-    res = context_allocate(vec, PoolingConfig(max_kernels=(1,), avg_kernels=(1,), budget=1),
+    res = context_allocate(np.array([0.1, 0.9, 0.3]),
+                           PoolingConfig(max_kernels=(1,), avg_kernels=(1,), budget=1),
                            ctx, sink=2)
     assert res.indices == [0, 1, 3]
     assert res.compressed.ids == [7, 8, 10]

@@ -3,8 +3,11 @@
 import contextlib
 import ctypes
 import hashlib
+import json
 import math
 import os
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -17,6 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import ctxpress
 from ctxpress import model
+from ctxpress.allocator import PoolingConfig
 from ctxpress.model import (
     ROW_BLOCK,
     DimensionMismatch,
@@ -33,7 +37,8 @@ from ctxpress.model import (
     worker_scope,
 )
 from ctxpress.needles import cell_rng
-from ctxpress.pipeline import synthetic_ids
+from ctxpress.pipeline import run_compress, synthetic_ids
+from ctxpress.prefill import StreamConfig
 from reference import (
     build_lambda_mask,
     dense_softmax_attention,
@@ -375,6 +380,51 @@ def test_the_suite_runs_one_blas_thread():
     threads = ctypes.CDLL(str(lib)).scipy_openblas_get_num_threads64_
     threads.restype, threads.argtypes = ctypes.c_int, []
     assert threads() == 1
+
+
+_NUMPY_FIRST = """
+import ctypes, json, sys
+import numpy
+threads = ctypes.CDLL(sys.argv[1]).scipy_openblas_get_num_threads64_
+threads.restype, threads.argtypes = ctypes.c_int, []
+before = threads()
+import ctxpress.pipeline
+after = threads()
+from ctxpress.allocator import PoolingConfig
+from ctxpress.model import ModelSpec, build_model
+from ctxpress.pipeline import run_compress, synthetic_ids
+from ctxpress.prefill import StreamConfig
+res = run_compress(build_model(ModelSpec(dim=32, heads=2, layers=4, seed=11)),
+                   StreamConfig(window=256, chunk=256, retrieval_layer=2),
+                   PoolingConfig(budget=256), synthetic_ids(2000, 32768, 1),
+                   synthetic_ids(16, 32768, 1, tag="q"))
+print(json.dumps([before, after, res.allocation.indices]))
+"""
+
+
+def test_numpy_loaded_first_still_gets_one_blas_thread(tiny_weights):
+    # with no BLAS variable set and numpy imported first, OpenBLAS starts on
+    # every CPU; importing ctxpress pins it to one, and a compress keeps the
+    # indices it has in this suite
+    if model._CPUS < 2:
+        pytest.skip("one CPU: OpenBLAS starts on one thread anyway")
+    lib = next((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*.so"),
+               None)
+    if lib is None:
+        pytest.skip("numpy without a bundled scipy-openblas")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    src = str(Path(ctxpress.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_FIRST, str(lib)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    before, after, indices = json.loads(proc.stdout)
+    assert before > 1 and after == 1
+    res = run_compress(tiny_weights, StreamConfig(window=256, chunk=256, retrieval_layer=2),
+                       PoolingConfig(budget=256), synthetic_ids(2000, 32768, 1),
+                       synthetic_ids(16, 32768, 1, tag="q"))
+    assert indices == res.allocation.indices
 
 
 def test_lambda_kernel_rejects_fewer_keys_than_queries(rng):

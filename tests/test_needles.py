@@ -118,17 +118,18 @@ def test_query_mentions_key_id():
 
 
 def test_filler_cycles_with_warning():
-    spec = NeedleTaskSpec(length=600, key_digits=(6,), seed=1, filler="tiny corpus only")
+    # the bundled corpus has 1,789 tokens
+    spec = NeedleTaskSpec(length=2000, key_digits=(6,), seed=1)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         inst = generate_needle_instance(spec, 5, 6, cell_rng(1, 5, 6))
     assert any(issubclass(w.category, FillerTooShort) for w in caught)
-    assert len(inst.context) == 600
+    assert len(inst.context) == 2000
 
 
-def _filler_ids_encoding_each_time(corpus, needed, vocab, memo):
+def _filler_ids_encoding_each_time(needed, vocab, memo):
     # the filler step as it was before the corpus was cached
-    base = encode(corpus, vocab, memo).ids
+    base = encode(default_filler(), vocab, memo).ids
     if len(base) >= needed:
         return base[:needed]
     marker = encode(needles.CYCLE_MARKER, vocab, memo).ids
@@ -199,14 +200,14 @@ def test_recall_zero_when_budget_zero_and_span_off_sink(tiny_weights):
 def test_recall_from_spiked_scores_traces_allocation():
     # bypass the model: spiked scores on the span with m=1, n=1 and B=4 keep
     # exactly the span
-    from ctxpress.allocator import ScoreVector, context_allocate
+    from ctxpress.allocator import context_allocate
     from ctxpress.codec import Span, TokenSeq
 
     values = np.full(60, 0.001)
     values[6:10] = 0.9  # absolute 10..13 with sink 4
     ctx = TokenSeq(list(range(64)), [Span("needle", 10, 14)])
     cfg = PoolingConfig(max_kernels=(1,), avg_kernels=(1,), budget=4)
-    res = context_allocate(ScoreVector(values, 4), cfg, ctx, 4)
+    res = context_allocate(values, cfg, ctx, 4)
     kept = set(res.indices) & set(range(10, 14))
     assert len(kept) == 4
 

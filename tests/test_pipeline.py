@@ -141,16 +141,15 @@ def test_compress_equals_oracle_scores_then_naive_allocate(tiny_weights, sink, w
         assert res.allocation.indices == list(range(length))
         return
     (scores,) = seen
-    assert scores.origin == sink
-    assert res.allocation.indices == naive_allocate(scores.values, sink, budget, max_k,
-                                                    avg_k, length)
+    assert len(scores) == length - sink
+    assert res.allocation.indices == naive_allocate(scores, sink, budget, max_k, avg_k, length)
     if lr == 1 or window >= length + query_len:  # the Lambda mask is all of causal
         ref, _ = monolithic_pipeline_scores(tiny_weights, lr, ctx.ids, query.ids, sink)
     else:
         k_ref, q_ref = lambda_mask_pipeline(tiny_weights, lr, ctx.ids, query.ids, sink,
                                             window, chunk)
         ref = reduce_scores(query_context_scores(q_ref, k_ref), sink)
-    assert np.abs(scores.values - ref.values).max() < 1e-5
+    assert np.abs(scores - ref).max() < 1e-5
 
 
 def test_one_compress_runs_on_one_pool(tiny_weights, monkeypatch):
