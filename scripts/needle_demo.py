@@ -28,9 +28,9 @@ def main() -> None:
     task = NeedleTaskSpec(length=args.length, key_digits=(args.key_digits,), seed=args.seed)
     instance = generate_needle_instance(task, args.depth, args.key_digits,
                                         cell_rng(args.seed, args.depth, args.key_digits))
-    span = instance.needle_span
-    print(f"needle: {decode(instance.context.ids[span.start:span.end], instance.memo)!r}")
-    print(f"hidden at tokens [{span.start}, {span.end}) of {args.length}")
+    start, end = instance.needle_span
+    print(f"needle: {decode(instance.context[start:end], instance.memo)!r}")
+    print(f"hidden at tokens [{start}, {end}) of {args.length}")
 
     stream = StreamConfig(sink=4, window=512, chunk=1024, retrieval_layer=args.layer)
     pooling = PoolingConfig(budget=args.budget)

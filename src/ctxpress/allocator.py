@@ -20,7 +20,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ctxpress import model
-from ctxpress.codec import TokenSeq
 from ctxpress.model import require_ints, run_parts, softmax_rows
 
 
@@ -47,7 +46,7 @@ class PoolingConfig:
 @dataclass
 class AllocationResult:
     indices: list[int]  # ascending, unique, sink included
-    compressed: TokenSeq
+    compressed: list[int]
     budget: int
     used_fallback: bool = False  # True if the final top-up pass ran
 
@@ -243,7 +242,7 @@ def _take(batches: Iterator[np.ndarray], free: np.ndarray, need: int) -> int:
 def context_allocate(
     scores: np.ndarray,
     cfg: PoolingConfig,
-    context: TokenSeq,
+    context: list[int],
     sink: int,
 ) -> AllocationResult:
     """Distribute the budget over kernel combinations and gather the kept ids.
@@ -286,6 +285,5 @@ def context_allocate(
             kept += _take(pooled_ranking(len(scores), scores, 1, 1), free, cfg.budget - kept)
         indices = [*range(sink_count), *(np.flatnonzero(~free) + sink_count).tolist()]
     assert len(indices) == target, f"allocated {len(indices)} != target {target}"
-    compressed = TokenSeq([context.ids[i] for i in indices])
-    return AllocationResult(indices=indices, compressed=compressed,
+    return AllocationResult(indices=indices, compressed=[context[i] for i in indices],
                             budget=cfg.budget, used_fallback=used_fallback)

@@ -116,9 +116,9 @@ def cmd_needle_gen(args: argparse.Namespace) -> int:
     instance = generate_needle_instance(spec, args.depth, args.key_digits, rng)
     _write_json(args.out, {**instance.to_json(), "length": args.length, "depth": args.depth,
                            "seed": args.seed})
-    span = instance.needle_span
+    start, end = instance.needle_span
     print(f"needle '{instance.key_id}' = {instance.passkey} at tokens "
-          f"[{span.start}, {span.end}) -> {args.out}")
+          f"[{start}, {end}) -> {args.out}")
     return 0
 
 

@@ -1,21 +1,23 @@
 """Deterministic whitespace/punctuation tokenizer over a hashed vocabulary.
 
 Token ids are a pure function of the token string (FNV-1a 64 with the
-standard offset basis, reduced modulo the non-reserved vocab range), so
-golden files stay valid across runs and platforms.  Decoding goes through a
-per-document memo recorded at encode time; it exists for test assertions,
-not for fidelity.
+standard offset basis, reduced modulo the vocab past ``RESERVED``), so
+golden files stay valid across runs and platforms.  Token sequences are
+plain lists of ids.  Decoding goes through a per-document memo recorded at
+encode time; it exists for test assertions, not for fidelity.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
+#: ids below this are never hashed to
+RESERVED = 4
+
 
 class UnknownId(KeyError):
     """Decoding hit an id with no memo entry."""
@@ -32,40 +34,16 @@ def fnv1a64(data: bytes) -> int:
 
 @dataclass(frozen=True)
 class Vocab:
-    """Hashed vocabulary: ids 0..reserved-1 are fixed, the rest hash slots."""
+    """Hashed vocabulary: ids 0..RESERVED-1 are fixed, the rest hash slots."""
 
     size: int = 32768
-    reserved: int = 4
 
     def __post_init__(self) -> None:
-        if self.size <= self.reserved:
-            raise ValueError(f"vocab size {self.size} must exceed reserved {self.reserved}")
+        if self.size <= RESERVED:
+            raise ValueError(f"vocab size {self.size} must exceed reserved {RESERVED}")
 
     def token_id(self, piece: str) -> int:
-        return self.reserved + fnv1a64(piece.encode("utf-8")) % (self.size - self.reserved)
-
-
-@dataclass
-class Span:
-    label: str
-    start: int
-    end: int  # exclusive
-
-
-@dataclass
-class TokenSeq:
-    """Token ids plus optional labelled spans (token index ranges)."""
-
-    ids: list[int]
-    spans: list[Span] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def check(self) -> None:
-        for s in self.spans:
-            if not (0 <= s.start <= s.end <= len(self.ids)):
-                raise ValueError(f"span {s} out of bounds for length {len(self.ids)}")
+        return RESERVED + fnv1a64(piece.encode("utf-8")) % (self.size - RESERVED)
 
 
 # [^\W_] matches exactly what str.isalnum accepts and \s what str.isspace
@@ -78,7 +56,7 @@ def split_pieces(text: str) -> list[str]:
     return _PIECE.findall(text)
 
 
-def encode(text: str, vocab: Vocab | None = None, memo: dict[int, str] | None = None) -> TokenSeq:
+def encode(text: str, vocab: Vocab | None = None, memo: dict[int, str] | None = None) -> list[int]:
     """Tokenize ``text`` into hashed ids.
 
     If ``memo`` is given, records id -> piece with first-write-wins so a
@@ -91,12 +69,11 @@ def encode(text: str, vocab: Vocab | None = None, memo: dict[int, str] | None = 
     if memo is not None:
         for piece, tid in piece_ids.items():
             memo.setdefault(tid, piece)
-    return TokenSeq([piece_ids[piece] for piece in pieces])
+    return [piece_ids[piece] for piece in pieces]
 
 
-def decode(seq: TokenSeq | Iterable[int], memo: dict[int, str]) -> str:
-    """Rebuild the token strings of ``seq`` joined by single spaces."""
-    ids = seq.ids if isinstance(seq, TokenSeq) else list(seq)
+def decode(ids: list[int], memo: dict[int, str]) -> str:
+    """Rebuild the token strings of ``ids`` joined by single spaces."""
     out = []
     for tid in ids:
         if tid not in memo:

@@ -18,7 +18,7 @@ import numpy as np
 
 from ctxpress import pipeline
 from ctxpress.allocator import PoolingConfig
-from ctxpress.codec import Span, TokenSeq, Vocab, encode
+from ctxpress.codec import Vocab, encode
 from ctxpress.model import Weights, require_ints, seeded_rng
 from ctxpress.prefill import StreamConfig
 
@@ -60,16 +60,13 @@ class NeedleTaskSpec:
 
 @dataclass
 class NeedleInstance:
-    context: TokenSeq  # carries the "needle" span
-    query: TokenSeq
+    context: list[int]
+    needle_span: tuple[int, int]  # context token range [start, end)
+    query: list[int]
     key_id: str
     passkey: str
     needle_text: str
     memo: dict[int, str]
-
-    @property
-    def needle_span(self) -> Span:
-        return self.context.spans[0]
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -85,7 +82,7 @@ def _encoded_corpus(vocab: Vocab) -> tuple[tuple[int, ...], tuple[tuple[int, str
     """The ids of the bundled corpus and its memo entries (id, first piece)
     in the order ``encode`` writes them, tokenized once per vocab."""
     memo: dict[int, str] = {}
-    return tuple(encode(default_filler(), vocab, memo).ids), tuple(memo.items())
+    return tuple(encode(default_filler(), vocab, memo)), tuple(memo.items())
 
 
 def _filler_ids(needed: int, vocab: Vocab, memo: dict[int, str]) -> list[int]:
@@ -99,7 +96,7 @@ def _filler_ids(needed: int, vocab: Vocab, memo: dict[int, str]) -> list[int]:
         f"filler corpus has {len(base)} tokens, cycling to reach {needed}",
         FillerTooShort,
     )
-    marker = encode(CYCLE_MARKER, vocab, memo).ids
+    marker = encode(CYCLE_MARKER, vocab, memo)
     ids = list(base)
     while len(ids) < needed:
         ids.extend(marker)
@@ -131,7 +128,7 @@ def generate_needle_instance(
 
     # encode the needle first so its memo entries win any hash collision
     memo: dict[int, str] = {}
-    needle_ids = encode(needle_text, vocab, memo).ids
+    needle_ids = encode(needle_text, vocab, memo)
     query = encode(query_text, vocab, memo)
     seg_start = depth_index * spec.length // spec.segments
     if seg_start + len(needle_ids) > spec.length:
@@ -139,12 +136,10 @@ def generate_needle_instance(
             f"needle of {len(needle_ids)} tokens does not fit at depth {depth_index} "
             f"in {spec.length} tokens")
     filler = _filler_ids(spec.length - len(needle_ids), vocab, memo)
-    ids = filler[:seg_start] + needle_ids + filler[seg_start:]
-    span = Span("needle", seg_start, seg_start + len(needle_ids))
-    context = TokenSeq(ids, [span])
-    context.check()
-    return NeedleInstance(context=context, query=query, key_id=key_id,
-                          passkey=passkey, needle_text=needle_text, memo=memo)
+    return NeedleInstance(context=filler[:seg_start] + needle_ids + filler[seg_start:],
+                          needle_span=(seg_start, seg_start + len(needle_ids)),
+                          query=query, key_id=key_id, passkey=passkey,
+                          needle_text=needle_text, memo=memo)
 
 
 def evaluate_recall(
@@ -155,10 +150,9 @@ def evaluate_recall(
 ) -> float:
     """Fraction of the needle's token span kept by the full pipeline."""
     result = pipeline.run_compress(weights, config, pooling, instance.context, instance.query)
-    span = instance.needle_span
-    span_size = span.end - span.start
-    kept = sum(1 for i in result.allocation.indices if span.start <= i < span.end)
-    return kept / span_size
+    start, end = instance.needle_span
+    kept = sum(1 for i in result.allocation.indices if start <= i < end)
+    return kept / (end - start)
 
 
 @dataclass

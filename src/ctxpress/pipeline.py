@@ -22,7 +22,7 @@ from ctxpress.allocator import (
     query_context_scores,
     reduce_scores,
 )
-from ctxpress.codec import TokenSeq
+from ctxpress.codec import RESERVED
 from ctxpress.model import Weights, seeded_rng, worker_scope
 from ctxpress.prefill import StreamConfig, _chunk_bounds, prefill_query_part, stream_prefill_context
 
@@ -62,7 +62,7 @@ class CompressResult:
     def to_json(self, config: dict | None = None) -> dict:
         allocation, cost = self.allocation, self.cost
         return {"indices": list(allocation.indices),
-                "ids": list(allocation.compressed.ids),
+                "ids": list(allocation.compressed),
                 "budget": allocation.budget,
                 "config": config or {},
                 "output_ids": list(self.output_ids),
@@ -97,8 +97,8 @@ def run_compress(
     weights: Weights,
     stream: StreamConfig,
     pooling: PoolingConfig,
-    context: TokenSeq,
-    query: TokenSeq,
+    context: list[int],
+    query: list[int],
 ) -> CompressResult:
     """Compress the context against the query and append the query ids.
 
@@ -112,20 +112,18 @@ def run_compress(
     stream.validate(weights.spec.layers)
     vocab = weights.spec.vocab
     for part, seq in (("context", context), ("query", query)):
-        low, high = min(seq.ids), max(seq.ids)
+        low, high = min(seq), max(seq)
         if low < 0 or high >= vocab:
             raise TokenIdOutOfRange(
                 f"{part} token id {low if low < 0 else high} outside 0..{vocab - 1}")
     length = len(context)
     started = time.perf_counter()
     if length <= pooling.budget + stream.sink:
-        allocation = AllocationResult(
-            indices=list(range(length)),
-            compressed=TokenSeq(list(context.ids)),
-            budget=pooling.budget)
+        allocation = AllocationResult(indices=list(range(length)), compressed=list(context),
+                                      budget=pooling.budget)
         cost = CostReport(0, 0, 0, time.perf_counter() - started)
         return CompressResult(allocation=allocation, cost=cost, bypassed=True,
-                              output_ids=list(context.ids) + list(query.ids))
+                              output_ids=list(context) + list(query))
 
     def stage(name: str, fn, *args):
         try:
@@ -144,12 +142,12 @@ def run_compress(
     cost = CostReport(count_dot_products(length, len(query), stream), *cells,
                       time.perf_counter() - started)
     return CompressResult(allocation=allocation, cost=cost, bypassed=False,
-                          output_ids=list(allocation.compressed.ids) + list(query.ids))
+                          output_ids=allocation.compressed + list(query))
 
 
-def synthetic_ids(length: int, vocab: int, seed: int, tag: str = "bench") -> TokenSeq:
+def synthetic_ids(length: int, vocab: int, seed: int, tag: str = "bench") -> list[int]:
     """Deterministic filler token ids for cost measurements."""
-    return TokenSeq(seeded_rng(seed, f"{tag}.{length}").integers(4, vocab, size=length).tolist())
+    return seeded_rng(seed, f"{tag}.{length}").integers(RESERVED, vocab, size=length).tolist()
 
 
 def linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:

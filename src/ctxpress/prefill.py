@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ctxpress import model
-from ctxpress.codec import TokenSeq
 from ctxpress.model import (
     Weights,
     embed,
@@ -111,7 +110,7 @@ def _segment_count(chunks: int, warm: int) -> int:
 def stream_prefill_context(
     weights: Weights,
     config: StreamConfig,
-    context: TokenSeq,
+    context: list[int],
 ) -> StreamCache:
     """Run the context through layers below the retrieval layer in chunks,
     caching sink+window KV there and full-length keys at the retrieval layer.
@@ -129,7 +128,7 @@ def stream_prefill_context(
     """
     spec = weights.spec
     config.validate(spec.layers)
-    ids = np.asarray(context.ids, dtype=np.int64)
+    ids = np.asarray(context, dtype=np.int64)
     length = len(ids)
     if length < 1:
         raise ValueError("context must contain at least one token")
@@ -159,7 +158,7 @@ def prefill_query_part(
     weights: Weights,
     config: StreamConfig,
     cache: StreamCache,
-    query: TokenSeq,
+    query: list[int],
 ) -> np.ndarray:
     """Run the query tokens over the context caches and return the
     rotary-encoded query states (H, L_q, d_h) at the retrieval layer.
@@ -170,7 +169,7 @@ def prefill_query_part(
     """
     spec = weights.spec
     config.validate(spec.layers)
-    ids = np.asarray(query.ids, dtype=np.int64)
+    ids = np.asarray(query, dtype=np.int64)
     if len(ids) == 0:
         raise EmptyQuery("query part has no tokens")
     lr = config.retrieval_layer

@@ -11,11 +11,13 @@ budget loop literally with python sets and lists, summing each window in
 numpy's pairwise order, and the window-loop allocator ranks every window
 with numpy's own mean and takes the ranked windows one at a time; the
 serial prefill walks every context chunk in order on one thread.
+``plant_retrieval`` makes one layer of a model a retrieval layer by hand.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -248,6 +250,20 @@ def serial_prefill(weights: Weights, ids: list[int], sink: int, window: int, chu
                                             rotary_tables(weights, positions))
         start = end
     return full_k, layers, dots
+
+
+def plant_retrieval(weights: Weights, layer: int, alpha: float) -> Weights:
+    """A copy of ``weights`` whose ``layer`` projects queries and keys alike:
+    wq = wk = alpha * I with a unit attention gain, so a query row scores
+    highest the context rows whose hidden state matches its own, such as a
+    repeat of its token.  This is the match step of the induction heads of
+    Olsson et al. (arXiv:2209.11895); a large ``rope_base`` keeps rotary
+    positions from drowning it."""
+    eye = (alpha * np.eye(weights.spec.dim)).astype(np.float32)
+    layers = list(weights.layers)
+    layers[layer - 1] = replace(layers[layer - 1], wq=eye, wk=eye,
+                                attn_gain=np.ones(weights.spec.dim, dtype=np.float32))
+    return replace(weights, layers=layers)
 
 
 def naive_max_pool(values: list[float], size: int) -> list[float]:

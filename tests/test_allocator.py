@@ -21,7 +21,6 @@ from ctxpress.allocator import (
     query_context_scores,
     reduce_scores,
 )
-from ctxpress.codec import TokenSeq
 from ctxpress.model import ModelSpec, build_model, softmax_rows
 from ctxpress.pipeline import PipelineError, run_compress, synthetic_ids
 from ctxpress.prefill import StreamConfig
@@ -49,7 +48,7 @@ def _ranking(vec, m, n, max_windows=None):
 
 
 def _context(n):
-    return TokenSeq(list(range(100, 100 + n)))
+    return list(range(100, 100 + n))
 
 
 def _rng(seed):
@@ -375,7 +374,7 @@ def test_budget_covers_everything():
                            PoolingConfig(max_kernels=(1,), avg_kernels=(1,), budget=6),
                            ctx, sink=4)
     assert res.indices == list(range(10))
-    assert res.compressed.ids == ctx.ids
+    assert res.compressed == ctx
 
 
 def test_zero_budget_keeps_sink_only():
@@ -604,9 +603,9 @@ def test_multi_kernel_covers_plateau_at_least_as_well():
 
 
 def test_compressed_gathers_context_ids():
-    ctx = TokenSeq([7, 8, 9, 10, 11])
+    ctx = [7, 8, 9, 10, 11]
     res = context_allocate(np.array([0.1, 0.9, 0.3]),
                            PoolingConfig(max_kernels=(1,), avg_kernels=(1,), budget=1),
                            ctx, sink=2)
     assert res.indices == [0, 1, 3]
-    assert res.compressed.ids == [7, 8, 10]
+    assert res.compressed == [7, 8, 10]

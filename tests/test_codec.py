@@ -1,24 +1,23 @@
 """Tokenizer determinism, golden ids, and memo round trips."""
 
 import json
-from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from ctxpress.codec import Span, TokenSeq, UnknownId, Vocab, decode, encode, split_pieces
+from ctxpress.codec import RESERVED, UnknownId, Vocab, decode, encode, split_pieces
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "codec_golden.json").read_text())
 
 
 def test_empty_text():
-    assert encode("").ids == []
-    assert decode(TokenSeq([]), {}) == ""
+    assert encode("") == []
+    assert decode([], {}) == ""
 
 
 def test_repeated_token_same_id():
-    ids = encode("a a").ids
+    ids = encode("a a")
     assert len(ids) == 2
     assert ids[0] == ids[1]
 
@@ -26,7 +25,7 @@ def test_repeated_token_same_id():
 def test_golden_ids_frozen():
     for text, expected in GOLDEN.items():
         assert split_pieces(text) == expected["pieces"], text
-        assert encode(text).ids == expected["ids"], text
+        assert encode(text) == expected["ids"], text
 
 
 def test_number_with_trailing_period_splits_into_three_pieces():
@@ -54,8 +53,8 @@ def test_non_ascii_pieces(text, pieces):
 
 def test_ids_in_hash_range():
     vocab = Vocab()
-    seq = encode("Some text, with 42 punctuation! marks?", vocab)
-    assert all(vocab.reserved <= i < vocab.size for i in seq.ids)
+    ids = encode("Some text, with 42 punctuation! marks?", vocab)
+    assert all(RESERVED <= i < vocab.size for i in ids)
 
 
 def test_round_trip_with_memo():
@@ -66,7 +65,7 @@ def test_round_trip_with_memo():
 
 def test_unknown_id_raises():
     with pytest.raises(UnknownId):
-        decode(TokenSeq([3]), {})
+        decode([3], {})
 
 
 def test_memo_first_write_wins():
@@ -80,20 +79,9 @@ def test_vocab_must_exceed_reserved():
         Vocab(size=4)
 
 
-def test_span_bounds_checked():
-    seq = TokenSeq([1, 2, 3], [Span("x", 0, 4)])
-    with pytest.raises(ValueError):
-        seq.check()
-
-
-def test_tokenseq_json_round_trip():
-    seq = TokenSeq([5, 6, 7], [Span("needle", 1, 3)])
-    assert asdict(seq) == {"ids": [5, 6, 7], "spans": [{"label": "needle", "start": 1, "end": 3}]}
-
-
 @given(st.text(max_size=200))
 def test_encode_is_pure(text):
-    assert encode(text).ids == encode(text).ids
+    assert encode(text) == encode(text)
 
 
 @given(st.lists(st.sampled_from(["dog", "cat", "42", "mill", "(", "tree", "river"]),
@@ -120,5 +108,5 @@ def test_encode_hashes_repeats_like_a_per_piece_loop(words, claimed):
     for piece in split_pieces(text):
         want_memo.setdefault(vocab.token_id(piece), piece)
     memo = dict(claimed)
-    assert encode(text, vocab, memo).ids == [vocab.token_id(p) for p in split_pieces(text)]
+    assert encode(text, vocab, memo) == [vocab.token_id(p) for p in split_pieces(text)]
     assert memo == want_memo

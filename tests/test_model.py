@@ -72,7 +72,7 @@ def test_keyed_streams_are_frozen():
         digest.update(block.tobytes())
     assert digest.hexdigest() == "eead38e816eba070670a2836cdde182fbd414bbeab94b939466dcf0e704a4b9e"
     assert cell_rng(5, 3, 12).integers(0, 10, size=8).tolist() == [3, 4, 5, 1, 3, 0, 7, 9]
-    assert synthetic_ids(16, 32768, 7, tag="bench-query").ids == [
+    assert synthetic_ids(16, 32768, 7, tag="bench-query") == [
         15088, 24612, 23343, 4511, 31544, 11852, 3668, 31528,
         6390, 31036, 124, 23596, 12867, 4177, 16234, 13831]
     # the seed is taken mod 2**64 and the name is hashed as UTF-8

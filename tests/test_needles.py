@@ -9,6 +9,7 @@ import pytest
 from ctxpress import needles
 from ctxpress.allocator import PoolingConfig
 from ctxpress.codec import Vocab, decode, encode
+from ctxpress.model import ModelSpec, build_model
 from ctxpress.needles import (
     KEY_WORDS,
     FillerTooShort,
@@ -21,6 +22,7 @@ from ctxpress.needles import (
     select_retrieval_layer,
 )
 from ctxpress.prefill import StreamConfig
+from reference import plant_retrieval
 
 SMALL = NeedleTaskSpec(length=400, key_digits=(6,), seed=5)
 
@@ -34,9 +36,9 @@ def test_word_pool_is_frozen():
 def test_instance_shape_and_span():
     inst = generate_needle_instance(SMALL, 3, 6, cell_rng(5, 3, 6))
     assert len(inst.context) == 400
-    span = inst.needle_span
-    assert span.label == "needle"
-    assert span.start == 3 * 400 // 20
+    start, end = inst.needle_span
+    assert start == 3 * 400 // 20
+    assert inst.context[start:end] == encode(inst.needle_text)
     assert len(inst.passkey) == 6
     assert inst.passkey.isdigit()
 
@@ -49,13 +51,13 @@ def test_generation_deterministic():
 
 def test_depth_zero_starts_at_token_zero():
     inst = generate_needle_instance(SMALL, 0, 6, cell_rng(5, 0, 6))
-    assert inst.needle_span.start == 0
+    assert inst.needle_span[0] == 0
 
 
 def test_span_decodes_to_needle_phrase():
     inst = generate_needle_instance(SMALL, 4, 6, cell_rng(5, 4, 6))
-    span = inst.needle_span
-    text = decode(inst.context.ids[span.start:span.end], inst.memo)
+    start, end = inst.needle_span
+    text = decode(inst.context[start:end], inst.memo)
     assert text == f"The {' - '.join(inst.key_id.rsplit('-', 1)[0].split('-'))} - " \
                    f"{inst.key_id.rsplit('-', 1)[1]} magic passkey is {inst.passkey} ."
 
@@ -96,8 +98,8 @@ def test_forced_draws_reproduce_template():
     assert inst.needle_text == "\nThe blue-cup-red-33 magic passkey is 198398.\n"
     assert inst.key_id == "blue-cup-red-33"
     assert inst.passkey == "198398"
-    span = inst.needle_span
-    assert decode(inst.context.ids[span.start:span.end], inst.memo) == \
+    start, end = inst.needle_span
+    assert decode(inst.context[start:end], inst.memo) == \
         "The blue - cup - red - 33 magic passkey is 198398 ."
 
 
@@ -111,7 +113,7 @@ def test_key_id_format():
 
 def test_query_mentions_key_id():
     inst = generate_needle_instance(SMALL, 2, 6, cell_rng(5, 2, 6))
-    text = decode(inst.query.ids, inst.memo)
+    text = decode(inst.query, inst.memo)
     for word in inst.key_id.split("-")[:3]:
         assert word in text
     assert "passkey" in text
@@ -129,10 +131,10 @@ def test_filler_cycles_with_warning():
 
 def _filler_ids_encoding_each_time(needed, vocab, memo):
     # the filler step as it was before the corpus was cached
-    base = encode(default_filler(), vocab, memo).ids
+    base = encode(default_filler(), vocab, memo)
     if len(base) >= needed:
         return base[:needed]
-    marker = encode(needles.CYCLE_MARKER, vocab, memo).ids
+    marker = encode(needles.CYCLE_MARKER, vocab, memo)
     ids = list(base)
     while len(ids) < needed:
         ids.extend(marker)
@@ -164,7 +166,8 @@ def test_filler_is_tokenized_once_with_the_same_memo(monkeypatch, length):
         monkeypatch.setattr(needles, "encode", recorded)
         got = [generate_needle_instance(task, d, k, cell_rng(9, d, k), vocab) for d, k in cells]
     for a, b in zip(got, want):
-        assert a.context.ids == b.context.ids
+        assert a.context == b.context
+        assert a.needle_span == b.needle_span
         assert list(a.memo.items()) == list(b.memo.items())
     assert encoded.count(default_filler()) == 1
 
@@ -191,7 +194,7 @@ def test_recall_one_when_budget_covers_context(tiny_weights):
 
 def test_recall_zero_when_budget_zero_and_span_off_sink(tiny_weights):
     inst = generate_needle_instance(SMALL, 10, 6, cell_rng(5, 10, 6))
-    assert inst.needle_span.start > 4
+    assert inst.needle_span[0] > 4
     config = StreamConfig(sink=4, window=64, chunk=64, retrieval_layer=2)
     pooling = PoolingConfig(budget=0)
     assert evaluate_recall(tiny_weights, config, inst, pooling) == 0.0
@@ -201,11 +204,10 @@ def test_recall_from_spiked_scores_traces_allocation():
     # bypass the model: spiked scores on the span with m=1, n=1 and B=4 keep
     # exactly the span
     from ctxpress.allocator import context_allocate
-    from ctxpress.codec import Span, TokenSeq
 
     values = np.full(60, 0.001)
     values[6:10] = 0.9  # absolute 10..13 with sink 4
-    ctx = TokenSeq(list(range(64)), [Span("needle", 10, 14)])
+    ctx = list(range(64))
     cfg = PoolingConfig(max_kernels=(1,), avg_kernels=(1,), budget=4)
     res = context_allocate(values, cfg, ctx, 4)
     kept = set(res.indices) & set(range(10, 14))
@@ -272,3 +274,40 @@ def test_select_layer_rejects_budget_covering_context(tiny_weights, monkeypatch)
     with pytest.raises(ValueError, match="covers the 300-token context"):
         select_retrieval_layer(tiny_weights, task, [1], PoolingConfig(budget=296),
                                StreamConfig(sink=4))
+
+
+# --- a planted retrieval layer -------------------------------------------------
+
+PLANTED_TASK = NeedleTaskSpec(length=1000, key_digits=(6, 12), segments=4, seed=0, budget=64)
+
+
+@pytest.fixture(scope="module")
+def long_rope_weights():
+    # rope_base 1e12 leaves the rotary angles near zero over 1,000 tokens
+    return build_model(ModelSpec(dim=64, heads=4, seed=7, rope_base=1e12))
+
+
+@pytest.mark.parametrize("layer", [1, 2, 3, 4])
+def test_selection_finds_a_planted_retrieval_layer(long_rope_weights, layer):
+    # random layers recall 0.08-0.26 of the needle here, the planted one all of it
+    weights = plant_retrieval(long_rope_weights, layer, 3.0)
+    selected, report = select_retrieval_layer(weights, PLANTED_TASK, [1, 2, 3, 4],
+                                              PoolingConfig(), StreamConfig())
+    assert selected == layer
+    assert report.layer_mean(layer) >= 0.9
+    assert all(report.layer_mean(other) <= 0.5 for other in report.layers() if other != layer)
+
+
+@pytest.mark.parametrize("layer", [1, 2, 3, 4])
+def test_pooling_keeps_more_of_a_planted_needle_than_top_k(long_rope_weights, layer):
+    # plain top-k keeps the needle's best-matching tokens, about 0.7 of its
+    # span; the pooled windows keep the span whole
+    weights = plant_retrieval(long_rope_weights, layer, 3.0)
+
+    def mean_recall(pooling: PoolingConfig) -> float:
+        _, report = select_retrieval_layer(weights, PLANTED_TASK, [layer], pooling,
+                                           StreamConfig())
+        return report.layer_mean(layer)
+
+    top_k = PoolingConfig(max_kernels=(1,), avg_kernels=(1,))
+    assert mean_recall(PoolingConfig()) > mean_recall(top_k)

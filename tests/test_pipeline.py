@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ctxpress import model, pipeline, prefill
 from ctxpress.allocator import PoolingConfig, query_context_scores, reduce_scores
-from ctxpress.codec import TokenSeq
+from ctxpress.codec import decode, split_pieces
 from ctxpress.model import DimensionMismatch, ModelSpec
 from ctxpress.needles import NeedleTaskSpec
 from ctxpress.pipeline import (
@@ -44,7 +44,7 @@ def test_bypass_when_budget_covers_context(tiny_weights):
     res = run_compress(tiny_weights, StreamConfig(retrieval_layer=2),
                        PoolingConfig(budget=100), ctx, query)
     assert res.bypassed
-    assert res.output_ids == list(ctx.ids) + list(query.ids)
+    assert res.output_ids == ctx + query
     assert res.allocation.indices == list(range(50))
     assert res.cost.dot_products == 0
 
@@ -59,9 +59,9 @@ def test_output_never_longer_than_input(tiny_weights):
 
 def test_empty_inputs_rejected(tiny_weights):
     with pytest.raises(ValueError):
-        run_compress(tiny_weights, StreamConfig(), PoolingConfig(), TokenSeq([]), _seq(4))
+        run_compress(tiny_weights, StreamConfig(), PoolingConfig(), [], _seq(4))
     with pytest.raises(ValueError):
-        run_compress(tiny_weights, StreamConfig(), PoolingConfig(), _seq(4), TokenSeq([]))
+        run_compress(tiny_weights, StreamConfig(), PoolingConfig(), _seq(4), [])
 
 
 def test_stage_name_surfaces_on_failure(tiny_weights, monkeypatch):
@@ -90,7 +90,7 @@ def test_bad_retrieval_layer_raises_value_error_bypass_or_not(tiny_weights, leng
 def test_out_of_vocab_id_rejected_before_any_stage(tiny_weights, bad_id, part, budget):
     ctx, query = _seq(300), _seq(8, seed=2)
     seq = ctx if part == "context" else query
-    seq.ids[5] = bad_id
+    seq[5] = bad_id
     cfg = StreamConfig(sink=4, window=64, chunk=64, retrieval_layer=2)
     with pytest.raises(TokenIdOutOfRange, match=part) as err:
         run_compress(tiny_weights, cfg, PoolingConfig(budget=budget), ctx, query)
@@ -102,7 +102,7 @@ def test_compress_matches_monolithic_oracle(toy_weights):
     cfg = StreamConfig(sink=4, window=512, chunk=64, retrieval_layer=3)
     pooling = PoolingConfig(budget=64)
     res = run_compress(toy_weights, cfg, pooling, ctx, query)
-    ref_scores, _ = monolithic_pipeline_scores(toy_weights, 3, ctx.ids, query.ids, sink=4)
+    ref_scores, _ = monolithic_pipeline_scores(toy_weights, 3, ctx, query, sink=4)
     from ctxpress.allocator import context_allocate
     ref = context_allocate(ref_scores, pooling, ctx, 4)
     assert res.allocation.indices == ref.indices
@@ -144,9 +144,9 @@ def test_compress_equals_oracle_scores_then_naive_allocate(tiny_weights, sink, w
     assert len(scores) == length - sink
     assert res.allocation.indices == naive_allocate(scores, sink, budget, max_k, avg_k, length)
     if lr == 1 or window >= length + query_len:  # the Lambda mask is all of causal
-        ref, _ = monolithic_pipeline_scores(tiny_weights, lr, ctx.ids, query.ids, sink)
+        ref, _ = monolithic_pipeline_scores(tiny_weights, lr, ctx, query, sink)
     else:
-        k_ref, q_ref = lambda_mask_pipeline(tiny_weights, lr, ctx.ids, query.ids, sink,
+        k_ref, q_ref = lambda_mask_pipeline(tiny_weights, lr, ctx, query, sink,
                                             window, chunk)
         ref = reduce_scores(query_context_scores(q_ref, k_ref), sink)
     assert np.abs(scores - ref).max() < 1e-5
@@ -424,7 +424,7 @@ def test_cli_compress_bad_config_exits_2(tmp_path, text_files, argv):
 
 def test_cli_maps_out_of_vocab_id_to_exit_2(tmp_path, text_files, monkeypatch):
     from ctxpress import cli
-    monkeypatch.setattr(cli, "encode", lambda text, vocab: TokenSeq([5, -1, 6]))
+    monkeypatch.setattr(cli, "encode", lambda text, vocab: [5, -1, 6])
     ctx, query = text_files
     code = cli.main(["compress", "--dim", "32", "--heads", "2",
                      "--context", str(ctx), "--query", str(query),
@@ -445,8 +445,11 @@ def test_cli_needle_gen(tmp_path):
                     "--key-digits", "6", "--seed", "11", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     blob = json.loads(out.read_text())
-    assert len(blob["context"]["ids"]) == 400
-    assert blob["context"]["spans"][0]["label"] == "needle"
+    assert len(blob["context"]) == 400
+    start, end = blob["needle_span"]
+    assert start == 60  # depth 3 of 20 segments over 400 tokens
+    memo = {int(tid): piece for tid, piece in blob["memo"].items()}
+    assert decode(blob["context"][start:end], memo) == " ".join(split_pieces(blob["needle_text"]))
     assert len(blob["passkey"]) == 6
     # determinism: rerun produces identical JSON
     out2 = tmp_path / "task2.json"

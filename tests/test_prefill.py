@@ -13,7 +13,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from ctxpress import model, prefill
 from ctxpress.allocator import query_context_scores
-from ctxpress.codec import TokenSeq
 from ctxpress.model import ModelSpec, build_model, rotary_tables
 from ctxpress.pipeline import count_cache_cells, count_dot_products
 from ctxpress.prefill import (
@@ -33,7 +32,7 @@ from reference import (
 
 def _random_seq(n, seed=3, vocab=32768):
     gen = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    return TokenSeq(gen.integers(4, vocab, size=n).tolist())
+    return gen.integers(4, vocab, size=n).tolist()
 
 
 # --- lambda mask ------------------------------------------------------------
@@ -84,7 +83,7 @@ def test_eviction_trace(tiny_weights):
     kept = list(range(4)) + list(range(32, 40))
     for layer, (k, v) in enumerate(cache.layers, start=1):
         assert k.shape == v.shape == (2, 12, 16)
-        k_ref, _ = lambda_mask_pipeline(tiny_weights, layer, ctx.ids, [5], 4, 8, 8)
+        k_ref, _ = lambda_mask_pipeline(tiny_weights, layer, ctx, [5], 4, 8, 8)
         assert np.abs(k - k_ref[:, kept]).max() < 1e-5
     assert cache.length == 40
 
@@ -94,7 +93,7 @@ def test_full_keys_match_monolithic(toy_weights):
     for lr in (1, 2, 3):
         cfg = StreamConfig(sink=4, window=512, chunk=64, retrieval_layer=lr)
         cache = stream_prefill_context(toy_weights, cfg, ctx)
-        _, k_ref = monolithic_pipeline_scores(toy_weights, lr, ctx.ids, [5], sink=4)
+        _, k_ref = monolithic_pipeline_scores(toy_weights, lr, ctx, [5], sink=4)
         assert np.abs(cache.full_k - k_ref).max() < 1e-5
         assert cache.length == 256
 
@@ -114,7 +113,7 @@ def test_retrieval_layer_validated(tiny_weights):
 
 def test_empty_context_rejected(tiny_weights):
     with pytest.raises(ValueError):
-        stream_prefill_context(tiny_weights, StreamConfig(), TokenSeq([]))
+        stream_prefill_context(tiny_weights, StreamConfig(), [])
 
 
 # --- query prefill ----------------------------------------------------------
@@ -130,7 +129,7 @@ def test_empty_query_rejected(tiny_weights):
     cfg = StreamConfig(retrieval_layer=2)
     cache = stream_prefill_context(tiny_weights, cfg, _random_seq(8))
     with pytest.raises(EmptyQuery):
-        prefill_query_part(tiny_weights, cfg, cache, TokenSeq([]))
+        prefill_query_part(tiny_weights, cfg, cache, [])
 
 
 def test_query_states_match_monolithic(toy_weights):
@@ -140,7 +139,7 @@ def test_query_states_match_monolithic(toy_weights):
     states = prefill_query_part(toy_weights, cfg, cache, query)
 
     from ctxpress.model import embed, layer_forward, project_queries
-    ids = np.array(ctx.ids + query.ids)
+    ids = np.array(ctx + query)
     x = embed(toy_weights, ids)
     pos = np.arange(len(ids))
     mask = np.tril(np.ones((len(ids), len(ids)), dtype=bool))
@@ -239,7 +238,7 @@ def test_streaming_matches_dense_lambda_mask(tiny_weights, sink, window, chunk, 
         + query_len * length)
     assert count_cache_cells(length, sink, window, lr) == (
         sum(2 * k.shape[1] for k, _ in cache.layers), length)
-    k_ref, q_ref = lambda_mask_pipeline(tiny_weights, lr, ctx.ids, query.ids,
+    k_ref, q_ref = lambda_mask_pipeline(tiny_weights, lr, ctx, query,
                                         sink, window, chunk)
     assert np.abs(cache.full_k - k_ref).max() < 1e-5
     assert np.abs(states - q_ref).max() < 1e-5
@@ -259,7 +258,7 @@ def test_segments_reproduce_the_serial_walk_bit_for_bit(tiny_weights, sink, wind
                                                         length, cpus):
     # segments as small as one chunk, each on its own thread; a warm-up one
     # window short, or a segment writing another's rows, would change bits
-    ids = _random_seq(length).ids
+    ids = _random_seq(length)
     cfg = StreamConfig(sink=sink, window=window, chunk=chunk, retrieval_layer=lr)
     segments = min(cpus, len(prefill._chunk_bounds(length, chunk, sink)))
     threads = set()
@@ -271,7 +270,7 @@ def test_segments_reproduce_the_serial_walk_bit_for_bit(tiny_weights, sink, wind
 
     with mock.patch.object(prefill, "_segment_count", lambda chunks, warm: min(cpus, chunks)), \
             mock.patch.object(prefill, "project_keys", on_thread):
-        cache = stream_prefill_context(tiny_weights, cfg, TokenSeq(ids))
+        cache = stream_prefill_context(tiny_weights, cfg, ids)
     full_k, layers, dots = serial_prefill(tiny_weights, ids, sink, window, chunk, lr)
     assert (len(threads) > 1) == (segments > 1)  # segments past the first ran off the caller
     assert np.array_equal(cache.full_k, full_k)
@@ -310,14 +309,14 @@ def test_one_segment_leaves_only_attention_to_threads(tiny_weights, monkeypatch,
             return function(*args, **kwargs)
         return on_thread
 
-    ids = _random_seq(2000).ids
+    ids = _random_seq(2000)
     monkeypatch.setattr(model, "_CPUS", 1)
     full_k, _, _ = serial_prefill(tiny_weights, ids, 4, 512, 1024, lr)
     monkeypatch.setattr(model, "_CPUS", cpus)
     monkeypatch.setattr(prefill, "layer_forward", recorded(walk, prefill.layer_forward))
     monkeypatch.setattr(prefill, "project_keys", recorded(keys, prefill.project_keys))
     monkeypatch.setattr(model, "softmax_rows", recorded(attention, model.softmax_rows))
-    cache = stream_prefill_context(tiny_weights, StreamConfig(retrieval_layer=lr), TokenSeq(ids))
+    cache = stream_prefill_context(tiny_weights, StreamConfig(retrieval_layer=lr), ids)
     assert walk <= {caller} and keys == {caller}
     assert (len(attention) > 1) == (lr > 1)  # chunk 0's 17 row blocks, dealt to the CPUs
     assert np.array_equal(cache.full_k, full_k)
@@ -361,7 +360,7 @@ def test_prefill_inside_a_part_walks_each_chunk_once(tiny_weights, monkeypatch):
     # chunk once instead of running two segments inline and walking the
     # second one's chunk 0 and warm-up chunks twice
     cfg = StreamConfig(sink=4, window=64, chunk=64, retrieval_layer=3)
-    ids = _random_seq(4096).ids
+    ids = _random_seq(4096)
     full_k, _, _ = serial_prefill(tiny_weights, ids, 4, 64, 64, 3)
     layer_forward, calls = prefill.layer_forward, []
 
@@ -372,11 +371,11 @@ def test_prefill_inside_a_part_walks_each_chunk_once(tiny_weights, monkeypatch):
     monkeypatch.setattr(model, "_CPUS", 2)
     monkeypatch.setattr(prefill, "layer_forward", counted)
     chunks = len(prefill._chunk_bounds(4096, 64, 4))
-    stream_prefill_context(tiny_weights, cfg, TokenSeq(ids))
+    stream_prefill_context(tiny_weights, cfg, ids)
     assert len(calls) == (chunks + 1 + 2) * (3 - 1)  # two segments
     calls.clear()
     caches = model.run_parts(
-        lambda i: stream_prefill_context(tiny_weights, cfg, TokenSeq(ids)) if i == 0 else None, 2)
+        lambda i: stream_prefill_context(tiny_weights, cfg, ids) if i == 0 else None, 2)
     assert len(calls) == chunks * (3 - 1)
     assert np.array_equal(caches[0].full_k, full_k)
 
