@@ -20,7 +20,7 @@ from ctxpress import pipeline
 from ctxpress.allocator import PoolingConfig
 from ctxpress.codec import Vocab, encode
 from ctxpress.model import Weights, require_ints, seeded_rng
-from ctxpress.prefill import StreamConfig
+from ctxpress.prefill import StreamConfig, Walk
 
 #: frozen word pool for key ids
 KEY_WORDS = (
@@ -67,6 +67,10 @@ class NeedleInstance:
     passkey: str
     needle_text: str
     memo: dict[int, str]
+
+    def __post_init__(self) -> None:
+        # not a field, so neither to_json, == nor repr sees it
+        self.walk = Walk()  # the context's deepest prefill, for evaluate_recall
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -148,8 +152,11 @@ def evaluate_recall(
     instance: NeedleInstance,
     pooling: PoolingConfig,
 ) -> float:
-    """Fraction of the needle's token span kept by the full pipeline."""
-    result = pipeline.run_compress(weights, config, pooling, instance.context, instance.query)
+    """Fraction of the needle's token span kept by the full pipeline.  The
+    context prefill resumes the instance's walk, so evaluating layers in
+    ascending order walks each lower layer once."""
+    result = pipeline.run_compress(weights, config, pooling, instance.context, instance.query,
+                                   walk=instance.walk)
     start, end = instance.needle_span
     kept = sum(1 for i in result.allocation.indices if start <= i < end)
     return kept / (end - start)
@@ -199,9 +206,11 @@ def select_retrieval_layer(
     lowest-index-among-best rule.
 
     The same instances (one per depth x key length cell, derived from the
-    task seed) are evaluated at every layer.  A needle context is exactly
-    ``task.length`` tokens, so a budget plus sink that covers it is rejected:
-    every cell would bypass compression and measure nothing.
+    task seed) are evaluated at every layer: one instance at a time, at
+    every layer in ascending order, so each resumes the instance's walk and
+    at most one walk is alive.  A needle context is exactly ``task.length``
+    tokens, so a budget plus sink that covers it is rejected: every cell
+    would bypass compression and measure nothing.
     """
     if not candidate_layers:
         raise ValueError("need at least one candidate layer")
@@ -215,16 +224,13 @@ def select_retrieval_layer(
             "context; nothing would be compressed")
     vocab = Vocab(size=weights.spec.vocab)
     budgeted = replace(pooling, budget=task.budget)
-    instances = {
-        (depth, digits): generate_needle_instance(
-            task, depth, digits, cell_rng(task.seed, depth, digits), vocab)
-        for depth in range(task.segments)
-        for digits in task.key_digits
-    }
+    configs = [replace(stream, retrieval_layer=layer) for layer in sorted(set(candidate_layers))]
     report = RecallReport()
-    for layer in candidate_layers:
-        config = replace(stream, retrieval_layer=layer)
-        for (depth, digits), instance in instances.items():
-            recall = evaluate_recall(weights, config, instance, budgeted)
-            report.add(layer, depth, digits, recall)
+    for depth in range(task.segments):
+        for digits in dict.fromkeys(task.key_digits):  # a repeated length runs once
+            instance = generate_needle_instance(
+                task, depth, digits, cell_rng(task.seed, depth, digits), vocab)
+            for config in configs:
+                recall = evaluate_recall(weights, config, instance, budgeted)
+                report.add(config.retrieval_layer, depth, digits, recall)
     return report.best_layer(), report

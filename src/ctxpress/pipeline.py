@@ -24,7 +24,8 @@ from ctxpress.allocator import (
 )
 from ctxpress.codec import RESERVED
 from ctxpress.model import Weights, seeded_rng, worker_scope
-from ctxpress.prefill import StreamConfig, _chunk_bounds, prefill_query_part, stream_prefill_context
+from ctxpress.prefill import (StreamConfig, Walk, _chunk_bounds, prefill_query_part,
+                              stream_prefill_context)
 
 
 class InsufficientPoints(ValueError):
@@ -46,6 +47,9 @@ class PipelineError(RuntimeError):
 
 @dataclass
 class CostReport:
+    """The closed-form costs of one standalone compression, whatever a
+    resumed walk saved (``count_dot_products``), and its wall time."""
+
     dot_products: int
     cache_cells_low: int  # key+value cells per head, layers below retrieval
     cache_cells_retrieval: int  # key cells per head at the retrieval layer
@@ -85,7 +89,8 @@ def count_dot_products(length: int, query_len: int, stream: StreamConfig) -> int
     ``query_len`` query tokens.  In each layer below the retrieval layer a
     chunk of T tokens at position a attends its min(a, min(sink, L)+window)
     cached rows and itself causally: the context chunks, then the query
-    chunks from L.  Scoring adds L_q*L."""
+    chunks from L.  Scoring adds L_q*L.  This is the Lambda-mask cost of one
+    standalone compression, not the work a prefill resuming a walk did."""
     keep = min(stream.sink, length) + stream.window
     chunks = [*_chunk_bounds(length, stream.chunk, stream.sink),
               *((length + a, length + b) for a, b in _chunk_bounds(query_len, stream.chunk, 0))]
@@ -99,13 +104,15 @@ def run_compress(
     pooling: PoolingConfig,
     context: list[int],
     query: list[int],
+    walk: Walk | None = None,
 ) -> CompressResult:
     """Compress the context against the query and append the query ids.
 
     If the budget plus sink already covers the context, the model never runs
     and the input passes through unchanged.  The retrieval layer is checked
     against the model and token ids against the vocabulary first, bypass or
-    not.
+    not.  A ``walk`` goes to the context prefill, which resumes and refills
+    it (``stream_prefill_context``); a bypass leaves it as it was.
     """
     if len(context) == 0 or len(query) == 0:
         raise ValueError("context and query must be non-empty")
@@ -133,7 +140,7 @@ def run_compress(
 
     # prefill segments, attention row groups and scoring heads share one pool
     with worker_scope():
-        cache = stage("context-prefill", stream_prefill_context, weights, stream, context)
+        cache = stage("context-prefill", stream_prefill_context, weights, stream, context, walk)
         query_states = stage("query-prefill", prefill_query_part, weights, stream, cache, query)
         values = stage("scoring", query_context_scores, query_states, cache.full_k)
     scores = stage("scoring", reduce_scores, values, cache.sink_len)

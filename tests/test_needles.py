@@ -2,11 +2,12 @@
 
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ctxpress import needles
+from ctxpress import needles, pipeline, prefill
 from ctxpress.allocator import PoolingConfig
 from ctxpress.codec import Vocab, decode, encode
 from ctxpress.model import ModelSpec, build_model
@@ -200,6 +201,20 @@ def test_recall_zero_when_budget_zero_and_span_off_sink(tiny_weights):
     assert evaluate_recall(tiny_weights, config, inst, pooling) == 0.0
 
 
+def test_a_filled_walk_leaves_the_instance_public_face_alone(tiny_weights):
+    # evaluate_recall fills the instance's walk; to_json, == and repr never see it
+    a = generate_needle_instance(SMALL, 6, 6, cell_rng(5, 6, 6))
+    b = generate_needle_instance(SMALL, 6, 6, cell_rng(5, 6, 6))
+    blob = json.dumps(a.to_json(), sort_keys=True)
+    config = StreamConfig(sink=4, window=64, chunk=64, retrieval_layer=3)
+    evaluate_recall(tiny_weights, config, a, PoolingConfig(budget=100))
+    assert a.walk.depth == 3 and b.walk.depth == 0
+    assert a == b and repr(a) == repr(b)
+    assert json.dumps(a.to_json(), sort_keys=True) == blob
+    assert set(a.to_json()) == {"context", "needle_span", "query", "key_id", "passkey",
+                                "needle_text", "memo"}
+
+
 def test_recall_from_spiked_scores_traces_allocation():
     # bypass the model: spiked scores on the span with m=1, n=1 and B=4 keep
     # exactly the span
@@ -251,6 +266,40 @@ def test_select_layer_grid_complete(tiny_weights):
     assert len(report.cells) == 3 * 4 * 2  # layers x depths x key lengths
     for recall in report.cells.values():
         assert 0.0 <= recall <= 1.0
+
+
+def test_select_layer_walks_each_lower_layer_once(tiny_weights, monkeypatch):
+    # instance by instance, layers ascending whatever their order: each
+    # instance's context runs through layers 1..3 once for l_R 1-4, and the
+    # cells are those of a fresh compression per (layer, instance)
+    task = NeedleTaskSpec(length=300, key_digits=(6, 12), segments=4, seed=9, budget=64)
+    pooling = PoolingConfig(budget=64)
+    stream = StreamConfig(sink=4, window=32, chunk=64)
+    forward, context_prefill = prefill.layer_forward, pipeline.stream_prefill_context
+    context_layers = []
+
+    def counted(weights, layer, *args, **kwargs):
+        context_layers.append(layer)
+        return forward(weights, layer, *args, **kwargs)
+
+    def context_only(*args, **kwargs):
+        with monkeypatch.context() as patched:
+            patched.setattr(prefill, "layer_forward", counted)
+            return context_prefill(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "stream_prefill_context", context_only)
+    _, report = select_retrieval_layer(tiny_weights, task, [3, 1, 4, 2], pooling, stream)
+    chunks = 5  # 68, 64, 64, 64, 40
+    assert len(report.cells) == 4 * 4 * 2
+    assert sorted(context_layers) == sorted([1, 2, 3] * chunks * 8)
+    monkeypatch.setattr(pipeline, "stream_prefill_context", context_prefill)
+    for (layer, depth, digits), recall in report.cells.items():
+        inst = generate_needle_instance(task, depth, digits, cell_rng(9, depth, digits))
+        kept = pipeline.run_compress(
+            tiny_weights, replace(stream, retrieval_layer=layer), pooling, inst.context,
+            inst.query).allocation.indices
+        start, end = inst.needle_span
+        assert recall == sum(start <= i < end for i in kept) / (end - start)
 
 
 def test_select_layer_rejects_bad_candidates(tiny_weights):

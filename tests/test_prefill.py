@@ -1,6 +1,7 @@
 """Streaming prefill: lambda masks, eviction, full-key equivalence, counting,
 segments on threads."""
 
+import copy
 import multiprocessing
 import os
 import threading
@@ -12,12 +13,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ctxpress import model, prefill
-from ctxpress.allocator import query_context_scores
+from ctxpress.allocator import PoolingConfig, query_context_scores
 from ctxpress.model import ModelSpec, build_model, rotary_tables
-from ctxpress.pipeline import count_cache_cells, count_dot_products
+from ctxpress.pipeline import count_cache_cells, count_dot_products, run_compress
 from ctxpress.prefill import (
     EmptyQuery,
     StreamConfig,
+    Walk,
     prefill_query_part,
     stream_prefill_context,
 )
@@ -26,6 +28,7 @@ from reference import (
     lambda_mask,
     lambda_mask_pipeline,
     monolithic_pipeline_scores,
+    plant_retrieval,
     serial_prefill,
 )
 
@@ -424,3 +427,111 @@ def test_segmented_prefill_in_a_child_forked_after_prefill(tiny_weights):
         proc.join()
         pytest.fail("prefill hung in the forked child")
     assert proc.exitcode == 0
+
+
+# --- resuming a walk ----------------------------------------------------------
+
+def _same_cache(got, want) -> bool:
+    return (np.array_equal(got.full_k, want.full_k) and len(got.layers) == len(want.layers)
+            and all(np.array_equal(k, k_ref) and np.array_equal(v, v_ref)
+                    for (k, v), (k_ref, v_ref) in zip(got.layers, want.layers)))
+
+
+RESUMED = ((1, 2), (1, 4), (2, 3), (2, 4), (3, 4))  # (walked depth, deeper l_R)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("sink", [0, 4])
+@pytest.mark.parametrize("length, window, chunk", [
+    (16384, 256, 256),  # 64 chunks in 3 segments on 3 CPUs, fresh or resumed
+    (2000, 512, 1024),  # the needle shape: two chunks in one segment
+])
+def test_a_resumed_walk_is_bit_for_bit_a_fresh_one(tiny_weights, monkeypatch, cpus, sink,
+                                                   length, window, chunk):
+    # a walk stopped at one depth and resumed at a deeper l_R runs only the
+    # layers between them, over the stored inputs, and yields the fresh
+    # walk's keys, lower caches and query states, and the serial walk's keys
+    monkeypatch.setattr(model, "_CPUS", cpus)
+    ids, query = _random_seq(length), _random_seq(40, seed=5)
+
+    def config(lr):
+        return StreamConfig(sink=sink, window=window, chunk=chunk, retrieval_layer=lr)
+
+    walks = {}
+    for depth in sorted({depth for depth, _ in RESUMED}):
+        walks[depth] = Walk()
+        stream_prefill_context(tiny_weights, config(depth), ids, walks[depth])
+        assert walks[depth].depth == depth
+    forward, layers_run = prefill.layer_forward, []
+
+    def counted(weights, layer, *args, **kwargs):
+        layers_run.append(layer)
+        return forward(weights, layer, *args, **kwargs)
+
+    fresh = {lr: stream_prefill_context(tiny_weights, config(lr), ids) for _, lr in RESUMED}
+    serial = {lr: serial_prefill(tiny_weights, ids, sink, window, chunk, lr)[0] for lr in fresh}
+    for depth, lr in RESUMED:
+        walk = copy.copy(walks[depth])  # refilling rebinds fields, it mutates no array
+        layers_run.clear()
+        with mock.patch.object(prefill, "layer_forward", counted):
+            got = stream_prefill_context(tiny_weights, config(lr), ids, walk)
+        assert set(layers_run) == set(range(depth, lr))
+        assert _same_cache(got, fresh[lr]), (depth, lr)
+        assert np.array_equal(got.full_k, serial[lr])
+        assert np.array_equal(prefill_query_part(tiny_weights, config(lr), got, query),
+                              prefill_query_part(tiny_weights, config(lr), fresh[lr], query))
+        assert walk.depth == lr and len(walk.layers) == lr - 1
+        assert walk.inputs.shape == (length, tiny_weights.spec.dim)
+
+
+def test_a_walk_is_never_reused_stale(tiny_weights):
+    # a walk resumes only with the weights object, sink, window, chunk and
+    # ids it was made with, and never for a shallower l_R; each mismatch
+    # returns the fresh walk's arrays and refills the walk as a fresh one
+    ids = _random_seq(300)
+    base = StreamConfig(sink=4, window=32, chunk=64, retrieval_layer=3)
+    edited = list(ids)
+    edited[150] += 1
+    cases = [
+        (plant_retrieval(tiny_weights, 2, 3.0), base, ids),  # same spec, other arrays
+        (tiny_weights, StreamConfig(sink=2, window=32, chunk=64, retrieval_layer=4), ids),
+        (tiny_weights, StreamConfig(sink=4, window=16, chunk=64, retrieval_layer=4), ids),
+        (tiny_weights, StreamConfig(sink=4, window=32, chunk=48, retrieval_layer=4), ids),
+        (tiny_weights, StreamConfig(sink=4, window=32, chunk=64, retrieval_layer=4), edited),
+        (tiny_weights, StreamConfig(sink=4, window=32, chunk=64, retrieval_layer=2), ids),
+    ]
+    for weights, config, context in cases:
+        walk = Walk()
+        stream_prefill_context(tiny_weights, base, ids, walk)
+        got = stream_prefill_context(weights, config, context, walk)
+        fresh = Walk()
+        want = stream_prefill_context(weights, config, context, fresh)
+        assert _same_cache(got, want), config
+        assert walk.weights is weights and walk.stream == fresh.stream
+        assert walk.depth == config.retrieval_layer
+        assert np.array_equal(walk.ids, context) and np.array_equal(walk.inputs, fresh.inputs)
+
+
+def test_a_bypassed_compression_leaves_the_walk_alone(tiny_weights):
+    ids = _random_seq(100)
+    walk = Walk()
+    stream_prefill_context(tiny_weights, StreamConfig(retrieval_layer=2), ids, walk)
+    before = dict(vars(walk))
+    result = run_compress(tiny_weights, StreamConfig(retrieval_layer=3), PoolingConfig(budget=96),
+                          ids, _random_seq(4, seed=5), walk=walk)
+    assert result.bypassed
+    assert all(getattr(walk, name) is value for name, value in before.items())
+
+
+def test_without_a_walk_nothing_is_stored(tiny_weights, monkeypatch):
+    # stream-64k and score-64k pass no walk: no (L, d) inputs buffer is made
+    made = []
+    empty = np.empty
+
+    def recorded(shape, *args, **kwargs):
+        made.append(shape)
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(prefill.np, "empty", recorded)
+    stream_prefill_context(tiny_weights, StreamConfig(retrieval_layer=3), _random_seq(300))
+    assert (300, tiny_weights.spec.dim) not in made
