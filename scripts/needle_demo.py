@@ -34,7 +34,9 @@ def main() -> None:
 
     stream = StreamConfig(sink=4, window=512, chunk=1024, retrieval_layer=args.layer)
     pooling = PoolingConfig(budget=args.budget)
-    result = run_compress(weights, stream, pooling, instance.context, instance.query)
+    # the walk keeps the context prefill, so evaluate_recall runs no context layer again
+    result = run_compress(weights, stream, pooling, instance.context, instance.query,
+                          walk=instance.walk)
     recall = evaluate_recall(weights, stream, instance, pooling)
     kept = len(result.allocation.indices)
     print(f"kept {kept}/{args.length} context tokens (budget {args.budget}, "

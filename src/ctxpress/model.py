@@ -14,8 +14,7 @@ import numbers
 import os
 import threading
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -89,11 +88,10 @@ class Weights:
 
 
 #: usable CPUs, the thread count of query scoring, context prefill and Λ
-#: attention; read at call (or scope) time, so one rebinding reaches all
+#: attention; read at call time, so one rebinding reaches all
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
-#: on each thread: ``in_part`` is true while it runs a part of a
-#: multi-part call, ``pool`` is the pool of its open ``worker_scope``
+#: ``in_part`` is true on a thread while it runs a part of a multi-part call
 _PARTS = threading.local()
 
 
@@ -102,35 +100,17 @@ def _free_cpus() -> int:
     return 1 if getattr(_PARTS, "in_part", False) else _CPUS
 
 
-@contextmanager
-def worker_scope():
-    """Run the ``run_parts`` calls this thread makes in the block on one pool
-    of ``_CPUS - 1`` threads, started on demand and joined when the block
-    exits, so no pool outlives it and a child forked after it never inherits
-    a pool whose threads it lacks.  A nested scope is part of the outer one."""
-    if getattr(_PARTS, "pool", None) is not None:
-        yield
-        return
-    try:
-        with ThreadPoolExecutor(max(1, _CPUS - 1)) as _PARTS.pool:
-            yield
-    finally:
-        _PARTS.pool = None
-
-
 def run_parts(task, parts: int) -> list:
     """``[task(0), ..., task(parts - 1)]``, part 0 on the calling thread and
-    the others on the pool of the thread's ``worker_scope`` (or of a scope
-    opened for this call); one part starts no thread, and a call made from
-    inside a part runs its parts inline.  Every part has finished before
-    this returns or raises the first failure, so no thread still writes
-    into shared buffers once an error propagates."""
+    the others on a pool of ``min(parts, _CPUS) - 1`` threads (at least one)
+    made for this call, extra parts queued; one part starts no thread, and a
+    call made from inside a part runs its parts inline.  The pool is joined
+    once every part has finished, before this returns or raises the first
+    failure, so no thread still writes into shared buffers once an error
+    propagates, and no pool outlives the call: a child forked after it
+    inherits no pool whose threads it lacks."""
     if parts <= 1 or getattr(_PARTS, "in_part", False):
         return [task(i) for i in range(parts)]
-    pool = getattr(_PARTS, "pool", None)
-    if pool is None:
-        with worker_scope():
-            return run_parts(task, parts)
 
     def part(i: int):
         _PARTS.in_part = True
@@ -139,13 +119,9 @@ def run_parts(task, parts: int) -> list:
         finally:
             _PARTS.in_part = False
 
-    tasks = []
-    try:
-        for i in range(1, parts):
-            tasks.append(pool.submit(part, i))
+    with ThreadPoolExecutor(max(1, min(parts, _CPUS) - 1)) as pool:
+        tasks = [pool.submit(part, i) for i in range(1, parts)]
         first = part(0)
-    finally:
-        wait(tasks)
     return [first, *(done.result() for done in tasks)]
 
 

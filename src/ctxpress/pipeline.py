@@ -23,7 +23,7 @@ from ctxpress.allocator import (
     reduce_scores,
 )
 from ctxpress.codec import RESERVED
-from ctxpress.model import Weights, seeded_rng, worker_scope
+from ctxpress.model import Weights, seeded_rng
 from ctxpress.prefill import (StreamConfig, Walk, _chunk_bounds, prefill_query_part,
                               stream_prefill_context)
 
@@ -138,11 +138,9 @@ def run_compress(
         except Exception as exc:  # noqa: BLE001 - re-raised with stage context
             raise PipelineError(name, exc) from exc
 
-    # prefill segments, attention row groups and scoring heads share one pool
-    with worker_scope():
-        cache = stage("context-prefill", stream_prefill_context, weights, stream, context, walk)
-        query_states = stage("query-prefill", prefill_query_part, weights, stream, cache, query)
-        values = stage("scoring", query_context_scores, query_states, cache.full_k)
+    cache = stage("context-prefill", stream_prefill_context, weights, stream, context, walk)
+    query_states = stage("query-prefill", prefill_query_part, weights, stream, cache, query)
+    values = stage("scoring", query_context_scores, query_states, cache.full_k)
     scores = stage("scoring", reduce_scores, values, cache.sink_len)
     allocation = stage("allocation", context_allocate, scores, pooling, context, cache.sink_len)
     cells = count_cache_cells(length, stream.sink, stream.window, stream.retrieval_layer)

@@ -98,18 +98,18 @@ def _prefill_chunks(
     chunks: list[tuple[int, int]],
     owned: int,
     sink_len: int,
-    first: int = 1,
 ):
     """The one chunk step of context and query prefill: runs each
     ``(start, end)`` chunk in ``chunks`` (ascending), entering as
     ``source(start, end)``, through layers first..l_R-1 against each layer's
-    cached rows (``layers[i]`` is layer first+i) and, from ``chunks[owned]``
-    on, yields ``(start, end, x, rotary)``, the chunk's input to the
-    retrieval layer and its rotary tables.  Each entry of ``layers`` is
-    rebound to the attended rows, trimmed to the first ``sink_len`` and the
-    last ``window``; no array is mutated.
+    cached rows (``layers[i]`` is layer first+i, first = l_R - len(layers))
+    and, from ``chunks[owned]`` on, yields ``(start, end, x, rotary)``, the
+    chunk's input to the retrieval layer and its rotary tables.  Each entry
+    of ``layers`` is rebound to the attended rows, trimmed to the first
+    ``sink_len`` and the last ``window``; no array is mutated.
     """
     keep = sink_len + config.window
+    first = config.retrieval_layer - len(layers)
     for step, (start, end) in enumerate(chunks):
         rotary = rotary_tables(weights, np.arange(offset + start, offset + end))
         x = source(start, end)
@@ -182,7 +182,7 @@ def stream_prefill_context(
         empty = np.zeros((spec.heads, 0, spec.head_dim))
         layers = [(empty, empty)] * (lr - first)
         for start, end, x, rotary in _prefill_chunks(weights, config, layers, source, 0, chunks,
-                                                     len(chunks) - (b - a), sink_len, first):
+                                                     len(chunks) - (b - a), sink_len):
             full_k[:, start:end] = project_keys(weights, lr, x, rotary)
             if inputs is not None:
                 inputs[start:end] = x

@@ -1,6 +1,5 @@
 """Model core: seeded weights, rotary encoding, masked attention, block step."""
 
-import contextlib
 import ctypes
 import hashlib
 import json
@@ -34,7 +33,6 @@ from ctxpress.model import (
     masked_attention,
     rotary_tables,
     run_parts,
-    worker_scope,
 )
 from ctxpress.needles import cell_rng
 from ctxpress.pipeline import run_compress, synthetic_ids
@@ -313,43 +311,34 @@ def test_run_parts_inside_a_part_starts_no_thread(monkeypatch):
     assert len(starts) == 2
 
 
-def _counted_pools(monkeypatch):
-    made = []
+def test_each_multi_part_call_runs_on_a_pool_of_its_own(monkeypatch):
+    # at two CPUs a call makes one pool of one thread, which a call of more
+    # parts than CPUs shares by queueing its extra parts; the parts come
+    # back in order and the pool's thread is joined before the call returns
+    made, starts = [], []
+    start = threading.Thread.start
 
     class Counted(model.ThreadPoolExecutor):
         def __init__(self, *args, **kwargs):
             made.append(self)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(model, "ThreadPoolExecutor", Counted)
-    return made
+    def counted(self):
+        starts.append(self)
+        start(self)
 
-
-def test_worker_scope_runs_every_call_on_one_pool(monkeypatch):
-    # the outermost scope makes one pool of _CPUS - 1 threads, which every
-    # call in it shares, a nested scope's too; a call of more parts than
-    # CPUs queues its extra parts and still returns them in order, and the
-    # pool's threads are gone after the scope
-    made = _counted_pools(monkeypatch)
     monkeypatch.setattr(model, "_CPUS", 2)
+    monkeypatch.setattr(model, "ThreadPoolExecutor", Counted)
+    monkeypatch.setattr(threading.Thread, "start", counted)
     before = threading.active_count()
-    with worker_scope():
-        assert len(made) == 1  # made on entry, before any call
-        seen = [run_parts(lambda j: threading.get_ident(), 2) for _ in range(2)]
-        assert run_parts(lambda j: j, 4) == [0, 1, 2, 3]
-        with worker_scope():  # a nested scope is part of the outer one
-            assert run_parts(lambda j: j, 3) == [0, 1, 2]
-        assert threading.active_count() == before + 1
-    assert len(made) == 1 and seen[0][1] == seen[1][1] != threading.get_ident()
-    assert threading.active_count() == before
-    # outside a scope, each call makes and joins a pool of its own
-    assert run_parts(lambda j: j, 2) == [0, 1]
-    assert len(made) == 2 and threading.active_count() == before
+    for parts, calls in ((2, 1), (4, 2)):
+        assert run_parts(lambda j: j, parts) == list(range(parts))
+        assert len(made) == calls and len(starts) <= calls
+        assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("scoped", [False, True])
 @pytest.mark.parametrize("failing", [0, 1])
-def test_failed_part_surfaces_after_every_part_finished(scoped, failing):
+def test_failed_part_surfaces_after_every_part_finished(failing):
     # the failing part raises at once while the other one still sleeps
     done = []
 
@@ -360,12 +349,11 @@ def test_failed_part_surfaces_after_every_part_finished(scoped, failing):
         done.append(j)
         return j
 
-    with (worker_scope() if scoped else contextlib.nullcontext()):
-        with pytest.raises(FloatingPointError):
-            run_parts(task, 2)
-        assert done == [1 - failing]
-        # the scope's pool still serves the next call
-        assert run_parts(lambda j: j, 2) == [0, 1]
+    with pytest.raises(FloatingPointError):
+        run_parts(task, 2)
+    assert done == [1 - failing]
+    # the failure leaves no part flag behind: the next call runs on two threads
+    assert run_parts(lambda j: threading.get_ident(), 2)[1] != threading.get_ident()
 
 
 def test_the_suite_runs_one_blas_thread():

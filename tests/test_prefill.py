@@ -408,8 +408,8 @@ def test_failed_segment_surfaces_after_every_segment_finished(tiny_weights):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_segmented_prefill_in_a_child_forked_after_prefill(tiny_weights):
-    # every prefill makes and joins its own pool, so a child forked after
-    # one never inherits a pool whose threads it lacks
+    # the segments' multi-part call joins its pool before it returns, so a
+    # child forked after a prefill never inherits a pool whose threads it lacks
     cfg = StreamConfig(sink=4, window=8, chunk=16, retrieval_layer=3)
     ctx = _random_seq(4 + 16 * 30)  # 30 chunks, warm = 2: two segments
     with mock.patch.object(model, "_CPUS", 2):
